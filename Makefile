@@ -5,9 +5,10 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: lint test test-fast bench bench-smoke check profile
 
-## Invariant lint: the five AST passes in repro.analysis (builtin-hash
+## Invariant lint: the six AST passes in repro.analysis (builtin-hash
 ## routing, decision-path determinism, guarded-by lock discipline,
-## future settlement discipline, bare asserts) over the whole src tree.
+## future settlement discipline, bare asserts, no collector tuning in
+## the serving packages) over the whole src tree.
 ## A clean tree is a hard gate: first leg of `make check` and of CI.
 lint:
 	PYTHONPATH=src python -m repro.analysis
@@ -95,7 +96,11 @@ check:
 ## functions by cumulative time (where the critical section spends it),
 ## then the E24-shaped batch-128 attribution of the array lastCommit
 ## backend: cumulative time per phase (intern / gather / compare /
-## install) plus the measured bytes/entry of both backends.
+## install) plus the measured bytes/entry of both backends, then the
+## cyclic collector's share of a session-driven batch-32 run whose
+## caller keeps its futures: seconds per generation (gc.callbacks —
+## cProfile cannot see them) and the tracked objects the run left behind.
 profile:
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-e24
+	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-gc

@@ -57,6 +57,18 @@ pinned; the linter turns the pin into a standing rule:
     ``assert`` — asserts vanish under ``python -O``, which is exactly
     when a production deployment would run.
 
+``no-gc-tuning``
+    The serving packages (``core/``, ``server/``, ``wal/``, ``coord/``,
+    ``percolator/``, ``ssi/``, ``mvcc/``) never touch ``gc.disable``,
+    ``gc.enable``, ``gc.freeze``, ``gc.unfreeze``, ``gc.set_threshold``
+    or ``gc.collect`` — called, bound to a name, imported, or reached
+    through ``import gc as x`` / ``getattr(gc, "...")``.  Descends from PR 13: the cyclic collector was a
+    third of a decision's wall time because the WAL retained two tracked
+    objects per decision; the fix was to retain none, which holds in any
+    process that embeds the stack — a collector setting would not.
+    ``repro/bench/`` and ``repro/analysis/`` are out of scope: measuring
+    tools may pause or force the collector around what they measure.
+
 The dynamic half (``racecheck``) covers what static scoping cannot: it
 records per-thread lock acquisition *edges* across the per-shard,
 frontend, and WAL locks, fails on lock-order cycles (potential

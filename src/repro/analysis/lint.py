@@ -25,8 +25,9 @@ Annotations (ordinary comments, read by the engine):
     ``core/partitioned.py``).
 
 Pass scoping: ``deterministic-protocol`` only audits the decision-path
-packages (``core/``, ``percolator/``, ``ssi/``); the other passes run
-over the whole tree.  ``time.sleep``/``time.monotonic``/
+packages (``core/``, ``percolator/``, ``ssi/``) and ``no-gc-tuning`` the
+serving packages (those three plus ``server/``, ``wal/``, ``coord/``,
+``mvcc/``); the other passes run over the whole tree.  ``time.sleep``/``time.monotonic``/
 ``time.perf_counter`` are allowed everywhere — latency modeling and
 cadence clocks are policy inputs, not decision inputs; ``time.time()``
 and friends in a decision path are what made batches non-replayable.
@@ -491,6 +492,67 @@ def check_no_bare_assert(ctx: ModuleContext) -> Iterator[LintFinding]:
             )
 
 
+_GC_TUNING = frozenset(
+    {"disable", "enable", "freeze", "unfreeze", "set_threshold", "collect"}
+)
+
+
+def check_no_gc_tuning(ctx: ModuleContext) -> Iterator[LintFinding]:
+    """The serving packages never touch the cyclic collector's policy.
+
+    PR 13's rule: collector policy is process-global and belongs to
+    whoever embeds the stack (the benchmark driver sets its own).  The
+    stack took a third of a decision's time back from the collector by
+    *owning fewer tracked objects*; a ``gc.disable()`` or
+    ``gc.set_threshold()`` in a serving module would buy the same number
+    in this process and nothing in the next one.
+    """
+
+    def finding(node: ast.AST, name: str) -> LintFinding:
+        return LintFinding(
+            ctx.path,
+            node.lineno,
+            node.col_offset,
+            "no-gc-tuning",
+            f"gc.{name} in a serving package: collector policy belongs to "
+            "the embedding process; keep per-decision state untracked instead",
+        )
+
+    # Every local name the module binds to ``gc`` (``import gc as _gc``).
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(ctx.tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "gc"
+    }
+
+    def is_gc(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id in modules
+
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Attribute):
+            # any use of the attribute, called or not: ``off = gc.disable``
+            if is_gc(node.value) and node.attr in _GC_TUNING:
+                yield finding(node, node.attr)
+        elif isinstance(node, ast.Call):
+            # getattr(gc, "disable")
+            args = node.args
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(args) >= 2
+                and is_gc(args[0])
+                and isinstance(args[1], ast.Constant)
+                and args[1].value in _GC_TUNING
+            ):
+                yield finding(node, args[1].value)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            for alias in node.names:
+                if alias.name in _GC_TUNING:
+                    yield finding(node, alias.name)
+
+
 @dataclass(frozen=True)
 class LintPass:
     name: str
@@ -513,6 +575,11 @@ ALL_PASSES: Tuple[LintPass, ...] = (
     LintPass("guarded-by", check_guarded_by),
     LintPass("future-discipline", check_future_discipline),
     LintPass("no-bare-assert", check_no_bare_assert),
+    LintPass(
+        "no-gc-tuning",
+        check_no_gc_tuning,
+        scope=("core/", "server/", "wal/", "coord/", "percolator/", "ssi/", "mvcc/"),
+    ),
 )
 
 _PASS_BY_NAME = {p.name: p for p in ALL_PASSES}

@@ -8,6 +8,8 @@ Public surface:
 * :func:`format_table`, :class:`PaperAnchor`, shape predicates
   (:func:`saturates`, :func:`knee_index`, :func:`within_factor`) — used
   by every figure benchmark.
+* :func:`collector_share` — the cyclic collector's seconds per
+  generation, and the tracked objects left behind, over a timed window.
 """
 
 from repro.bench.frontend_bench import (
@@ -26,7 +28,9 @@ from repro.bench.frontend_bench import (
 from repro.bench.harness import HarnessResult, run_interleaved, run_sequential
 from repro.bench.plots import AsciiChart, abort_rate_chart, latency_throughput_chart
 from repro.bench.reporting import (
+    CollectorShare,
     PaperAnchor,
+    collector_share,
     format_table,
     knee_index,
     monotonic_increasing,
@@ -53,6 +57,8 @@ __all__ = [
     "latency_throughput_chart",
     "abort_rate_chart",
     "PaperAnchor",
+    "CollectorShare",
+    "collector_share",
     "format_table",
     "saturates",
     "knee_index",

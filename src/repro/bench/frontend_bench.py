@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.bench.reporting import collector_share
 from repro.core.engine import make_engine
 from repro.core.partitioned import PartitionedOracle
 from repro.core.status_oracle import CommitRequest, make_oracle
@@ -986,6 +987,40 @@ def profile_frontend(
     stats.sort_stats("cumulative").print_stats(top)
 
 
+def profile_collector(
+    num_requests: int = 150_000,
+    batch_size: int = 32,
+    level: str = "wsi",
+) -> None:
+    """Print the cyclic collector's share of a frontend run (the third
+    leg of ``make profile``).
+
+    The run has the shape of ``benchmarks/e2e``'s driver — a
+    ``ClientSession`` over the frontend, the oracle and a real WAL, and
+    a caller that keeps every future — at about one repetition's size,
+    because what a generation-2 pass costs is set by what the stack and
+    its client retain.  cProfile cannot see this time (it is smeared
+    over whoever allocates); ``gc.callbacks`` can.
+    """
+    footprints = [
+        (spec.write_rows, spec.read_rows) for spec in make_specs(num_requests)
+    ]
+    wal = BookKeeperWAL()
+    frontend = OracleFrontend(make_oracle(level, wal=wal), max_batch=batch_size)
+    session = frontend.session()
+    futures = []
+    gc.collect()
+    with collector_share() as report:
+        for writes, reads in footprints:
+            futures.append(session.commit(writes, reads, session.begin()))
+        frontend.flush()
+        wal.flush()
+    print(report.table(
+        f"collector share: {num_requests} session commits, batch {batch_size}, "
+        "futures kept"
+    ))
+
+
 # ---------------------------------------------------------------------------
 # E24: array-backed lastCommit vs dict (scan-heavy warmed batch decide)
 # ---------------------------------------------------------------------------
@@ -1297,6 +1332,8 @@ if __name__ == "__main__":  # pragma: no cover - `make profile` entry point
 
     if "--profile-e24" in sys.argv:
         profile_lastcommit()
+    elif "--profile-gc" in sys.argv:
+        profile_collector()
     elif "--profile" in sys.argv:
         profile_frontend()
     else:

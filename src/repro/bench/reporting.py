@@ -8,8 +8,12 @@ The helpers here keep that uniform across benchmarks/.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+import contextlib
+import gc
+from collections import Counter
+from dataclasses import dataclass, field
+from time import perf_counter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -89,3 +93,76 @@ def within_factor(measured: float, paper: float, factor: float) -> bool:
     if paper <= 0 or measured <= 0:
         return False
     return paper / factor <= measured <= paper * factor
+
+
+# ----------------------------------------------------------------------
+# collector share: what the cyclic collector costs a timed window
+# ----------------------------------------------------------------------
+@dataclass
+class CollectorShare:
+    """What :func:`collector_share` measured over its window."""
+
+    wall_s: float = 0.0
+    #: Seconds spent inside the collector, per generation collected.
+    gen_s: List[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    #: Collections run, per generation.
+    collections: List[int] = field(default_factory=lambda: [0, 0, 0])
+    #: Tracked objects alive at the end of the window over those alive
+    #: at its start, by type name: what the window left for every later
+    #: full collection to walk.
+    tracked: Counter = field(default_factory=Counter)
+
+    @property
+    def share(self) -> float:
+        """Collector seconds over wall seconds (0.0 for an empty window)."""
+        return sum(self.gen_s) / self.wall_s if self.wall_s else 0.0
+
+    def table(self, title: str = "", top: int = 6) -> str:
+        rows = [
+            (f"gen {gen}", f"{self.gen_s[gen]:.3f}", self.collections[gen])
+            for gen in range(3)
+        ]
+        rows.append(("wall", f"{self.wall_s:.3f}", f"{100 * self.share:.1f} %"))
+        rows.extend(
+            (f"+ {name}", "", count) for name, count in self.tracked.most_common(top)
+        )
+        rows.append(("+ tracked, all types", "", sum(self.tracked.values())))
+        return format_table(["collector", "seconds", "count"], rows, title=title)
+
+
+def _tracked_census() -> Counter:
+    return Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
+@contextlib.contextmanager
+def collector_share() -> Iterator[CollectorShare]:
+    """Time the cyclic collector inside a ``with`` block.
+
+    The span budget of ``benchmarks/e2e`` cannot see collector time: a
+    collection runs inside whichever span happens to allocate.  This
+    reads it off ``gc.callbacks`` instead (seconds and collections per
+    generation) and adds a by-type census of the tracked objects the
+    window left behind — the thing that sets the cost of every later
+    generation-2 pass.  The yielded :class:`CollectorShare` is filled in
+    when the block exits.  Collector settings are left alone; the two
+    censuses run outside the timed window.
+    """
+    report = CollectorShare()
+    started = [0.0]
+
+    def on_gc(phase: str, info: dict) -> None:
+        if phase == "start":
+            started[0] = perf_counter()
+        else:
+            report.gen_s[info["generation"]] += perf_counter() - started[0]
+            report.collections[info["generation"]] += 1
+
+    before = _tracked_census()
+    gc.callbacks.append(on_gc)
+    window_started = perf_counter()
+    try:
+        yield report
+    finally:
+        report.wall_s = perf_counter() - window_started
+        gc.callbacks.remove(on_gc)
+        report.tracked = _tracked_census() - before

@@ -50,6 +50,7 @@ Three design points:
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, FrozenSet, List, Optional, Tuple
 
 from repro.core.commit_table import CommitTable
@@ -348,7 +349,7 @@ class PercolatorEngine(CommitEngine):
                     conflict_row = None
                     for row in ws:
                         recs = writes_get(row)
-                        if recs is not None and recs[-1].commit_ts > start:
+                        if recs is not None and recs[-2] > start:
                             conflict_row = row
                             break
                     if conflict_row is None:
@@ -357,7 +358,7 @@ class PercolatorEngine(CommitEngine):
                         for row in sorted(ws, key=repr):
                             rows_checked += 1
                             recs = writes_get(row)
-                            if recs is not None and recs[-1].commit_ts > start:
+                            if recs is not None and recs[-2] > start:
                                 conflict = ("ww-conflict", row)
                                 break
                 else:
@@ -379,7 +380,7 @@ class PercolatorEngine(CommitEngine):
                                 conflict = ("lock-held", row)
                                 break
                         recs = writes_get(row)
-                        if recs is not None and recs[-1].commit_ts > start:
+                        if recs is not None and recs[-2] > start:
                             conflict = ("ww-conflict", row)
                             break
                 if conflict is not None:
@@ -463,17 +464,18 @@ class PercolatorEngine(CommitEngine):
             tso._next = nxt
             tso._issued += issued
             # Phase 2 — bulk finalize: append every decided commit's
-            # write records (direct list appends — Tc strictly increases
-            # across the finalize list, preserving the store's
-            # commit-order invariant).  No batch locks exist to release.
-            record = WriteRecord
+            # write records (direct ``commit_ts, start_ts`` appends — Tc
+            # strictly increases across the finalize list, preserving the
+            # store's commit-order invariant).  No batch locks exist to
+            # release.
             for start, cts, rows in finalize:
+                pair = (cts, start)
                 for row in rows:
                     recs = writes_get(row)
                     if recs is None:
-                        writes[row] = [record(cts, start)]
+                        writes[row] = array("q", pair)
                     else:
-                        recs.append(record(cts, start))
+                        recs.extend(pair)
             st = self.stats
             st.commits += commits + ro_commits
             st.read_only_commits += ro_commits
@@ -529,9 +531,11 @@ class PercolatorEngine(CommitEngine):
         self.commit_table.record_commit(start_ts, commit_ts)
         writes = self._store.write_column
         for row in rows:
-            records = writes.setdefault(row, [])
-            if not records or commit_ts > records[-1].commit_ts:
-                records.append(WriteRecord(commit_ts, start_ts))
+            records = writes.get(row)
+            if records is None:
+                writes[row] = array("q", (commit_ts, start_ts))
+            elif commit_ts > records[-2]:
+                records.extend((commit_ts, start_ts))
         return commit_ts
 
     def _apply_recovered_abort(self, start_ts: int) -> int:

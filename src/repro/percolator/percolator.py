@@ -33,6 +33,7 @@ transaction forward if the primary committed and back otherwise.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -81,7 +82,15 @@ class PercolatorStore:
     def __init__(self) -> None:
         self.data = MVCCStore()  # versions keyed by start_ts
         self._locks: Dict[RowKey, Lock] = {}
-        self._writes: Dict[RowKey, List[WriteRecord]] = {}  # sorted by commit_ts
+        # Per row, a flat ``array('q')`` of ``commit_ts, start_ts`` pairs in
+        # commit order.  The column grows by one entry per committed row
+        # for the life of the store, so what it is made of is what a full
+        # collection walks: as a list of frozen-dataclass records it was
+        # two tracked containers per row (295 k after 30 k commits, three
+        # ~0.13 s passes inside a 0.85 s batched run — PR 13) and 0.6 us
+        # of ``object.__setattr__`` per record; an array is one leaf
+        # object per row with nothing inside for the collector to visit.
+        self._writes: Dict[RowKey, array] = {}
 
     # ------------------------------------------------------------------
     # bulk access (the batched engine's hook)
@@ -98,11 +107,15 @@ class PercolatorStore:
         return self._locks
 
     @property
-    def write_column(self) -> Dict[RowKey, List[WriteRecord]]:
-        """The live write column: per-row records sorted by commit_ts.
+    def write_column(self) -> Dict[RowKey, array]:
+        """The live write column: per row a flat ``array('q')`` of
+        ``commit_ts, start_ts`` pairs sorted by commit_ts, so ``recs[-2]``
+        is the row's newest commit timestamp.
 
-        Bulk-read hook like :data:`lock_column`; WAL recovery also
-        appends through it (records arrive already in commit order).
+        Bulk-read hook like :data:`lock_column`; the batched engine and
+        WAL recovery also append through it (pairs arrive already in
+        commit order).  Everyone else reads :class:`WriteRecord` values
+        through the methods below.
         """
         return self._writes
 
@@ -136,25 +149,30 @@ class PercolatorStore:
         if not records:
             return None
         # records are few per row in practice; linear scan from the end.
-        for record in reversed(records):
-            if record.commit_ts < ts:
-                return record
+        for i in range(len(records) - 2, -1, -2):
+            if records[i] < ts:
+                return WriteRecord(records[i], records[i + 1])
         return None
 
     def latest_commit_ts(self, row: RowKey) -> Optional[int]:
         records = self._writes.get(row)
-        return records[-1].commit_ts if records else None
+        return records[-2] if records else None
 
     def add_write_record(self, row: RowKey, record: WriteRecord) -> None:
-        records = self._writes.setdefault(row, [])
-        if records and record.commit_ts <= records[-1].commit_ts:
+        records = self._writes.get(row)
+        if records is None:
+            self._writes[row] = array("q", (record.commit_ts, record.start_ts))
+            return
+        if record.commit_ts <= records[-2]:
             raise ValueError("write records must be appended in commit order")
-        records.append(record)
+        records.append(record.commit_ts)
+        records.append(record.start_ts)
 
     def write_record_for_start(self, row: RowKey, start_ts: int) -> Optional[WriteRecord]:
-        for record in self._writes.get(row, []):
-            if record.start_ts == start_ts:
-                return record
+        records = self._writes.get(row, ())
+        for i in range(1, len(records), 2):
+            if records[i] == start_ts:
+                return WriteRecord(records[i - 1], start_ts)
         return None
 
 

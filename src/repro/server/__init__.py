@@ -119,6 +119,38 @@ install round per involved partition (the cross-partition batch
 protocol), the per-RPC amortization a distributed deployment of §6.3
 footnote 6 needs.
 
+The second cost the interpreter adds is one no profile of the commit
+path shows, because it runs inside whoever happens to allocate:
+CPython's cyclic collector walks every *tracked* object the process
+keeps, and before PR 13 two of every three such objects were log payload
+— the WAL kept each committed request's write set as the request's own
+``frozenset`` (sets are always tracked, and so is every tuple that holds
+one).  Measured inside the end-to-end benchmark's timed loop that was
+32 % of a ``ycsb-uniform`` repetition's wall time, and its pauses were
+the p99.  Two rules keep it off the commit path now, pinned by
+``tests/server/test_allocation_budget.py``:
+
+* **Nothing retained per durable decision is tracked.**  Group-commit
+  records have one normal form
+  (:func:`~repro.wal.bookkeeper.group_commit_payload`): tuples all the
+  way down, frozen once at the WAL boundary, which the collector
+  untracks the first time it meets them; the request and its frozensets
+  die with the batch.  ``FlushedBatch.committed_payload`` is the
+  record's own payload object.
+* **Five tracked objects per in-flight request** (six on the HA path):
+  the two footprint frozensets, the ``CommitRequest`` (slotted, no
+  ``__dict__``), the slotted ``CommitFuture`` and the ``(request,
+  future)`` batch item — plus the ``HAFuture``, which doubles as the
+  failover retry-set entry.  ``ClientSession.commit()`` reaches the
+  pending batch in one frontend call: no closure, no helper frames, and
+  the session's tally rides the future's owner slot instead of a
+  per-request callback list.
+
+The gain comes from owning fewer tracked objects, never from collector
+settings (the ``no-gc-tuning`` lint pass), so it holds in any process
+that embeds the stack.  What remains is the floor a client sets itself:
+one tracked object per future it keeps.
+
 Executor choice: who drives the partition rounds
 ================================================
 

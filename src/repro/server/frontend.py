@@ -44,7 +44,7 @@ from repro.core.status_oracle import (
     CommitRequest,
     CommitResult,
 )
-from repro.wal.bookkeeper import BookKeeperWAL
+from repro.wal.bookkeeper import BookKeeperWAL, group_commit_payload
 
 #: Default batch bound: 32 decisions fill exactly one 1 KB WAL entry at
 #: Appendix A's 32 B per record, so one frontend batch maps onto one
@@ -61,10 +61,14 @@ class FlushedBatch:
     ``on_flush`` listeners receive it after the group-commit WAL record
     is queued but *before* ``flushed`` flips true (i.e. before any future
     reports done), so a simulator can attach a durability event first.
-    The decision payloads are exactly what went into the WAL record, in
-    decision order — callback-style clients (and the throughput bench's
-    ``submit_commit_nowait`` path) read outcomes from here without
-    per-request future objects.
+    The decision payloads are the group-commit record's normal form
+    (:func:`~repro.wal.bookkeeper.group_commit_payload`: tuples all the
+    way down, ``rows`` included) in decision order — with a WAL attached
+    ``committed_payload`` *is* ``record.payload[0]``, not a copy, so a
+    batch pinned by a client's future costs the collector nothing the
+    log does not already hold.  Callback-style clients (and the
+    throughput bench's ``submit_commit_nowait`` path) read outcomes from
+    here without per-request future objects.
     """
 
     flushed: bool = False
@@ -124,20 +128,40 @@ class CommitFuture:
     discrete-event simulator bridges this to an engine event).
     """
 
-    # Class-level defaults keep per-future work on the hot path to two
-    # attribute writes (start_ts at submit, batch at enqueue).
-    _done = False  # instance-true only for read-only fast-path futures
-    _committed = False
-    _commit_ts: Optional[int] = None
-    _reason = ""
-    _row: Any = None
-    _error: Optional[BaseException] = None
-    _result: Optional[CommitResult] = None
-    _cbs: Optional[List[Callable[["CommitFuture"], None]]] = None
-    batch: Optional[FlushedBatch] = None
+    # Slotted, every field initialised in __init__: a future is exactly
+    # one object to the allocator and to the cyclic collector.  With
+    # class-level defaults and lazily-set instance attributes CPython
+    # gave every settled future a materialised (and collector-tracked)
+    # ``__dict__`` on top — ~270 B and one more object for the collector
+    # to walk per handle a client keeps, for the life of the handle.
+    __slots__ = (
+        "start_ts",
+        "batch",
+        "_done",  # true only for futures settled outside a batch flush
+        "_committed",
+        "_commit_ts",
+        "_reason",
+        "_row",
+        "_error",
+        "_result",
+        "_cbs",
+        "_owner",
+    )
 
     def __init__(self, start_ts: int) -> None:
         self.start_ts = start_ts
+        self.batch: Optional[FlushedBatch] = None
+        self._done = False  # lint: skip=future-discipline -- initial state, not a settle
+        self._committed = False
+        self._commit_ts: Optional[int] = None
+        self._reason = ""
+        self._row: Any = None
+        self._error: Optional[BaseException] = None
+        self._result: Optional[CommitResult] = None  # lint: skip=future-discipline -- initial state
+        self._cbs: Optional[List[Callable[["CommitFuture"], None]]] = None
+        #: The :class:`~repro.server.session.ClientSession` that tallies
+        #: this future's outcome (see :meth:`_attach_owner`).
+        self._owner: Any = None
 
     @property
     def done(self) -> bool:
@@ -217,7 +241,28 @@ class CommitFuture:
             self._cbs.append(fn)
         self.batch.has_callbacks = True
 
+    def _attach_owner(self, owner: Any) -> None:
+        """Have ``owner._tally(self)`` called at settle, ahead of the
+        callbacks the client registers.
+
+        The session's half of :meth:`add_done_callback`: the future
+        carries its owner in a slot instead of a per-request
+        ``[bound method]`` list, so the session's bookkeeping allocates
+        nothing between ``commit()`` and the pending batch.
+        """
+        batch = self.batch
+        if self._done or (batch is not None and batch.flushed):
+            owner._tally(self)
+            return
+        self._owner = owner
+        if batch is not None:  # an HAFuture outlives any one batch
+            batch.has_callbacks = True
+
     def _fire_callbacks(self) -> None:
+        owner = self._owner
+        if owner is not None:
+            self._owner = None
+            owner._tally(self)
         cbs = self._cbs
         if cbs:
             self._cbs = None
@@ -239,12 +284,10 @@ class FutureArena:
     :meth:`~OracleFrontend.recycle_future` once it has read the
     outcome.
 
-    Reset is one ``__dict__.clear()``: every per-decision field on
-    ``CommitFuture`` is a *class-level* default precisely so that a
-    bare instance is a fresh future — clearing the instance dict
-    restores all of them (and drops the ``batch`` back-reference, so a
-    pooled future never pins a resolved batch).  Recycling a pending
-    future is refused: its batch still owns it.
+    Reset is re-running ``__init__`` on the recycled object: it
+    restores every per-decision field (and drops the ``batch``
+    back-reference, so a pooled future never pins a resolved batch).
+    Recycling a pending future is refused: its batch still owns it.
     """
 
     __slots__ = ("_free", "allocated", "reused", "recycled")
@@ -266,8 +309,7 @@ class FutureArena:
         free = self._free
         if free:
             future = free.pop()
-            future.__dict__.clear()
-            future.start_ts = start_ts
+            future.__init__(start_ts)
             self.reused += 1
         else:
             future = CommitFuture(start_ts)
@@ -890,9 +932,11 @@ class OracleFrontend:
             # durable — e.g. all requests were read-only — write no
             # record at all; in per-request mode a WAL-owning backend
             # already logged each decision itself.  The loop-built
-            # triples are already immutable (rows stay the request's
-            # frozenset); append_decisions freezes the payload once and
-            # owns the record-size rule.
+            # triples still carry the request's frozenset as ``rows``;
+            # group_commit_payload re-tuples them — what outlives the
+            # flush (the log, FlushedBatch) must be invisible to the
+            # cyclic collector, which never untracks a set — and
+            # append_decisions goes through it and owns the size rule.
             wal = self._wal
             wal_written = False
             if (
@@ -903,7 +947,7 @@ class OracleFrontend:
                 payload = wal.append_decisions(payload_commits, payload_aborts)
                 wal_written = True
             else:
-                payload = (tuple(payload_commits), tuple(payload_aborts))
+                payload = group_commit_payload(payload_commits, payload_aborts)
         except Exception as exc:
             self.stats.flush_failures += 1
             self._abandon_batch(cell, exc)

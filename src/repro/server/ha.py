@@ -64,10 +64,30 @@ class HAFuture(CommitFuture):
     on a ledger quorum (or with an error once the request is known
     never to resolve: a decision error, or the retry policy spent).
     The outcome surface is identical to :class:`CommitFuture`.
+
+    It is also the tier's one tracking object per not-yet-durable
+    request: :class:`ReplicatedFrontend` keeps it in the failover retry
+    set and reads the fields below.  They are dropped at settle, so a
+    handle the client retains pins neither the request's footprint nor
+    the batch that decided it.
     """
 
-    #: How many times the request was resubmitted after a leader crash.
-    retries = 0
+    __slots__ = ("retries", "_request", "_inner", "_attempts", "_durable")
+
+    def __init__(self, start_ts: int) -> None:
+        CommitFuture.__init__(self, start_ts)
+        #: How many times the request was resubmitted after a leader crash.
+        self.retries = 0
+        #: What to resubmit: the ``CommitRequest``, or the start
+        #: timestamp for a client abort.
+        self._request: Any = None
+        #: The current submission's CommitFuture.  None while a submit
+        #: call is in flight — a WAL sync can fire *inside* submit (the
+        #: count-trigger flush filling a 1 KB entry), before the caller
+        #: has the inner future; ``_settle`` then defers via ``_durable``.
+        self._inner: Optional[CommitFuture] = None
+        self._attempts = 0
+        self._durable = False
 
     def add_done_callback(self, fn: Callable[["CommitFuture"], None]) -> None:
         # No batch backref: this future outlives any one batch.
@@ -86,31 +106,15 @@ class HAFuture(CommitFuture):
         self._reason = inner._reason
         self._row = inner._row
         self._error = inner._error
+        self._request = self._inner = None
         self._done = True  # lint: skip=future-discipline -- blessed settle
         self._fire_callbacks()
 
     def _settle_error(self, exc: BaseException) -> None:
         self._error = exc
+        self._request = self._inner = None
         self._done = True  # lint: skip=future-discipline -- blessed settle
         self._fire_callbacks()
-
-
-class _InFlight:
-    """One not-yet-durable client request tracked across failovers."""
-
-    __slots__ = ("kind", "request", "future", "inner", "attempts", "durable")
-
-    def __init__(self, kind: str, request: Any, future: HAFuture) -> None:
-        self.kind = kind  # "commit" | "abort"
-        self.request = request  # CommitRequest, or start_ts for aborts
-        self.future = future
-        #: The current submission's CommitFuture.  None while a submit
-        #: call is in flight — a WAL sync can fire *inside* submit (the
-        #: count-trigger flush filling a 1 KB entry), before the caller
-        #: has the inner future; _settle then defers via ``durable``.
-        self.inner: Optional[CommitFuture] = None
-        self.attempts = 0
-        self.durable = False
 
 
 class FrontendHost(OracleHost):
@@ -237,7 +241,7 @@ class ReplicatedFrontend:
             )
         self._retry_policy = retry_policy or RetryPolicy()
         self._sleep = sleep
-        self._inflight: Dict[int, _InFlight] = {}
+        self._inflight: Dict[int, HAFuture] = {}
         self._closed = False
         self.failovers = 0
         #: Requests resubmitted after a leader crash (sum over crashes).
@@ -324,8 +328,8 @@ class ReplicatedFrontend:
         if self._closed:
             raise OracleClosed("replicated frontend is closed")
         future = HAFuture(request.start_ts)
-        entry = _InFlight("commit", request, future)
-        self._submit_entry(entry, self.active_frontend)
+        future._request = request
+        self._submit_tracked(future, self.active_frontend)
         return future
 
     def submit_abort(self, start_ts: int) -> HAFuture:
@@ -333,44 +337,46 @@ class ReplicatedFrontend:
         if self._closed:
             raise OracleClosed("replicated frontend is closed")
         future = HAFuture(start_ts)
-        entry = _InFlight("abort", start_ts, future)
-        self._submit_entry(entry, self.active_frontend)
+        future._request = start_ts
+        self._submit_tracked(future, self.active_frontend)
         return future
 
-    def _submit_entry(self, entry: _InFlight, frontend: OracleFrontend) -> None:
-        """One (re)submission of an entry against the given frontend.
+    def _submit_tracked(self, future: HAFuture, frontend: OracleFrontend) -> None:
+        """One (re)submission of a future's request against ``frontend``.
 
-        The entry is registered in the retry set *before* the inner
-        submit with ``inner=None``: the submit itself can flush the
+        The future is registered in the retry set *before* the inner
+        submit with ``_inner=None``: the submit itself can flush the
         batch (count trigger) and even sync the WAL (1 KB entry), in
-        which case :meth:`_settle` fires mid-call — it finds the entry,
-        flags ``durable``, and the settle completes here once the inner
+        which case :meth:`_settle` fires mid-call — it finds the future,
+        flags ``_durable``, and the settle completes here once the inner
         future is in hand.  Exceptions (``Overloaded``, a closed
-        frontend) deregister the entry and propagate.
+        frontend) deregister the future and propagate.
         """
-        start_ts = entry.future.start_ts
-        entry.inner = None
-        entry.durable = False
-        entry.attempts += 1
-        self._inflight[start_ts] = entry
+        start_ts = future.start_ts
+        request = future._request
+        is_commit = request.__class__ is CommitRequest
+        future._inner = None
+        future._durable = False
+        future._attempts += 1
+        self._inflight[start_ts] = future
         try:
-            if entry.kind == "commit":
-                inner = frontend.submit_commit(entry.request)
+            if is_commit:
+                inner = frontend.submit_commit(request)
             else:
-                inner = frontend.submit_abort(entry.request)
+                inner = frontend.submit_abort(request)
         except BaseException:
             self._inflight.pop(start_ts, None)
             raise
-        if entry.kind == "commit" and inner.batch is None:
+        if is_commit and inner.batch is None:
             # Read-only fast path: decided at submit, nothing durable
             # (and nothing a failover could lose) — resolve immediately.
             self._inflight.pop(start_ts, None)
-            entry.future._settle_from(inner)
+            future._settle_from(inner)
             return
-        entry.inner = inner
-        if entry.durable:
+        future._inner = inner
+        if future._durable:
             # The WAL sync raced the submit (already deregistered).
-            entry.future._settle_from(inner)
+            future._settle_from(inner)
         self._maybe_catch_up()
 
     def _maybe_catch_up(self) -> None:
@@ -441,21 +447,22 @@ class ReplicatedFrontend:
                 self._settle(start_ts)
 
     def _settle(self, start_ts: int) -> None:
-        entry = self._inflight.pop(start_ts, None)
-        if entry is None:
+        future = self._inflight.pop(start_ts, None)
+        if future is None:
             return
-        if entry.inner is None:
+        inner = future._inner
+        if inner is None:
             # Sync fired inside the submit call itself; the submit path
             # completes the settle once it has the inner future.
-            entry.durable = True
+            future._durable = True
             return
-        entry.future._settle_from(entry.inner)
+        future._settle_from(inner)
 
     def _on_flush_errors(self, cell: FlushedBatch) -> None:
         for start_ts, exc in cell.errors:
-            entry = self._inflight.pop(start_ts, None)
-            if entry is not None:
-                entry.future._settle_error(exc)
+            future = self._inflight.pop(start_ts, None)
+            if future is not None:
+                future._settle_error(exc)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -491,34 +498,34 @@ class ReplicatedFrontend:
             frontend = self.active_frontend
         except OracleClosed:
             # No survivor: every outstanding request fails permanently.
-            for entry in list(self._inflight.values()):
-                self._inflight.pop(entry.future.start_ts, None)
-                entry.future._settle_error(crash_exc)
+            for future in list(self._inflight.values()):
+                self._inflight.pop(future.start_ts, None)
+                future._settle_error(crash_exc)
                 self.failed_after_retries += 1
             return
         policy = self._retry_policy
-        # Snapshot the retry set: resubmission re-registers each entry
+        # Snapshot the retry set: resubmission re-registers each future
         # in turn, and a resubmit's own count-flush can sync the WAL and
-        # settle earlier entries mid-loop (each record only ever names
-        # requests whose entry already holds its *new* inner future).
-        for entry in list(self._inflight.values()):
-            if entry.attempts >= policy.max_attempts:
-                self._inflight.pop(entry.future.start_ts, None)
-                entry.future._settle_error(crash_exc)
+        # settle earlier ones mid-loop (each record only ever names
+        # requests whose future already holds its *new* inner future).
+        for future in list(self._inflight.values()):
+            if future._attempts >= policy.max_attempts:
+                self._inflight.pop(future.start_ts, None)
+                future._settle_error(crash_exc)
                 self.failed_after_retries += 1
                 continue
-            delay = policy.delay_for(entry.attempts)
+            delay = policy.delay_for(future._attempts)
             self.backoff_seconds += delay
             if self._sleep is not None:
                 self._sleep(delay)
             self.retried_requests += 1
-            entry.future.retries += 1
+            future.retries += 1
             try:
-                self._submit_entry(entry, frontend)
+                self._submit_tracked(future, frontend)
             except Overloaded as exc:
                 # The new leader shed the retry: surface it rather than
                 # silently dropping the request from the retry set.
-                entry.future._settle_error(exc)
+                future._settle_error(exc)
                 self.failed_after_retries += 1
 
 

@@ -6,7 +6,7 @@ against the frontend, submits their commit/abort requests, and receives
 the enclosing batch flushes.  A session may keep any number of
 transactions in flight — the paper's oracle stress setup runs 100
 outstanding transactions per client (§6.3) — and tallies its own
-commit/abort outcomes via future callbacks, which the stress tests
+commit/abort outcomes as its futures settle, which the stress tests
 reconcile against the backend's :class:`~repro.core.status_oracle.OracleStats`.
 
 A session may also hold its **own begin lease**
@@ -76,7 +76,7 @@ class ClientSession:
         # begins (the module docstring covers the trade-offs).
         self._begin_lease = begin_lease
         self._lease: List[int] = []
-        # per-session outcome tallies, updated by future callbacks
+        # per-session outcome tallies, updated as each future settles
         self.submitted = 0
         self.commits = 0
         self.aborts = 0
@@ -171,28 +171,35 @@ class ClientSession:
 
         Defaults to the most recently begun transaction; pass ``start_ts``
         to pick one of several in-flight transactions.
+
+        This is the stack's hottest client call: without a retry policy
+        the request goes to the frontend in one call — no closure, no
+        ``_submit`` frame — and the tally rides the future's owner slot
+        (:meth:`CommitFuture._attach_owner`), not a per-request callback
+        list.
         """
         ts = self._resolve_open(start_ts)
-        request = CommitRequest(
-            ts, write_set=frozenset(write_set), read_set=frozenset(read_set)
-        )
-        future = self._submit(lambda: self._frontend.submit_commit(request))
+        request = CommitRequest(ts, frozenset(write_set), frozenset(read_set))
+        if self._retry_policy is None:
+            future = self._frontend.submit_commit(request)
+        else:
+            future = self._submit(self._frontend.submit_commit, request)
         self._forget_open(ts)
         self.submitted += 1
-        future.add_done_callback(self._tally)
+        future._attach_owner(self)
         return future
 
     def abort(self, start_ts: Optional[int] = None) -> CommitFuture:
         """Submit a client-initiated abort for an open transaction."""
         ts = self._resolve_open(start_ts)
-        future = self._submit(lambda: self._frontend.submit_abort(ts))
+        future = self._submit(self._frontend.submit_abort, ts)
         self._forget_open(ts)
         self.submitted += 1
-        future.add_done_callback(self._tally)
+        future._attach_owner(self)
         return future
 
-    def _submit(self, submit) -> CommitFuture:
-        """Run one submit under the session's overload-retry policy.
+    def _submit(self, submit, arg) -> CommitFuture:
+        """Run ``submit(arg)`` under the session's overload-retry policy.
 
         ``Overloaded`` is the only retryable error: the request was
         *shed*, not decided, so resubmitting cannot double-decide it.
@@ -202,11 +209,11 @@ class ClientSession:
         """
         policy = self._retry_policy
         if policy is None:
-            return submit()
+            return submit(arg)
         attempt = 1
         while True:
             try:
-                return submit()
+                return submit(arg)
             except Overloaded:
                 if attempt >= policy.max_attempts:
                     raise

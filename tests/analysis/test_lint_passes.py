@@ -25,6 +25,7 @@ CASES = {
     "guarded-by": "unguarded.py",
     "future-discipline": "future_settle.py",
     "no-bare-assert": "bare_assert.py",
+    "no-gc-tuning": "gc_tuning.py",
 }
 
 _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([\w-]+)")
@@ -40,7 +41,7 @@ def expected_lines(path, pass_name):
     return lines
 
 
-def test_the_five_passes_exist():
+def test_every_pass_has_a_fixture():
     assert sorted(CASES) == sorted(p.name for p in ALL_PASSES)
 
 
@@ -81,6 +82,20 @@ def test_deterministic_protocol_is_scoped_to_decision_paths(tmp_path):
         os.path.join("core", "mod.py")
     ]
     assert findings[0].pass_name == "deterministic-protocol"
+
+
+def test_no_gc_tuning_is_scoped_to_the_serving_packages(tmp_path):
+    source = "import gc\n\n\ndef f():\n    gc.collect()\n"
+    serving = ("core", "server", "wal", "coord", "percolator", "ssi", "mvcc")
+    for sub in serving + ("bench", "analysis"):
+        pkg = tmp_path / sub
+        pkg.mkdir()
+        (pkg / "mod.py").write_text(source)
+    findings = lint_tree(str(tmp_path))
+    assert {f.pass_name for f in findings} == {"no-gc-tuning"}
+    assert sorted(os.path.relpath(f.path, tmp_path) for f in findings) == sorted(
+        os.path.join(sub, "mod.py") for sub in serving
+    )
 
 
 def test_explicit_guard_declaration_form():

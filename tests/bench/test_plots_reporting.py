@@ -1,10 +1,14 @@
 """Tests for the reporting helpers and ASCII charts."""
 
+import gc
+
 import pytest
 
 from repro.bench.plots import AsciiChart, abort_rate_chart, latency_throughput_chart
 from repro.bench.reporting import (
+    CollectorShare,
     PaperAnchor,
+    collector_share,
     format_table,
     knee_index,
     monotonic_increasing,
@@ -96,6 +100,54 @@ class TestAsciiChart:
         data = {"WSI": [(100, 10), (200, 20)], "SI": [(100, 9), (220, 18)]}
         assert "Throughput in TPS" in latency_throughput_chart("t", data)
         assert "ab%" in abort_rate_chart("t", data)
+
+
+class _Node:
+    """A GC-tracked object (instances with references always are)."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
+class _Scratch(_Node):
+    pass
+
+
+class TestCollectorShare:
+    def test_times_each_generation_and_counts_what_the_window_left(self):
+        with collector_share() as report:
+            kept = [_Node([i]) for i in range(500)]
+            dropped = [_Scratch([i]) for i in range(500)]
+            del dropped
+            gc.collect(0)
+            gc.collect(2)
+            gc.collect(2)
+        assert report.collections[0] >= 1 and report.collections[2] == 2
+        assert report.gen_s[2] > 0.0
+        assert 0.0 < sum(report.gen_s) <= report.wall_s
+        assert report.share == pytest.approx(sum(report.gen_s) / report.wall_s)
+        # Own types only: builtin containers come and go under pytest.
+        assert report.tracked["_Node"] == len(kept) == 500
+        assert report.tracked["_Scratch"] == 0
+
+    def test_detaches_its_callback_and_leaves_collector_settings_alone(self):
+        callbacks, threshold, enabled = list(gc.callbacks), gc.get_threshold(), gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with collector_share():
+                raise RuntimeError("window died")
+        assert gc.callbacks == callbacks
+        assert (gc.get_threshold(), gc.isenabled()) == (threshold, enabled)
+
+    def test_empty_window_and_table(self):
+        assert CollectorShare().share == 0.0
+        report = CollectorShare(
+            wall_s=2.0, gen_s=[0.1, 0.1, 0.3], collections=[7, 2, 1]
+        )
+        report.tracked.update(CommitFuture=40, tuple=2)
+        table = report.table("title")
+        assert table.startswith("title\n")
+        assert "25.0 %" in table and "+ CommitFuture" in table
+        assert table.splitlines()[-1].split()[-1] == "42"
 
 
 class TestCLI:

@@ -219,3 +219,43 @@ class TestLifecycle:
     def test_factory_levels(self):
         assert make_oracle("si").level == "si"
         assert make_oracle("wsi").level == "wsi"
+
+
+class TestCommitRequestRecord:
+    """The value semantics the frozen dataclass had, kept by the slotted
+    class that replaced it (PR 13)."""
+
+    def test_positional_keyword_and_default_construction(self):
+        full = CommitRequest(7, frozenset({"w"}), frozenset({"r"}))
+        assert full == CommitRequest(
+            7, write_set=frozenset({"w"}), read_set=frozenset({"r"})
+        )
+        bare = CommitRequest(start_ts=7)
+        assert bare.write_set == frozenset() and bare.read_set == frozenset()
+        assert bare.is_read_only and not full.is_read_only
+
+    def test_equality_and_hash_are_nominal(self):
+        a = req(7, writes={"w"}, reads={"r"})
+        assert a == req(7, writes={"w"}, reads={"r"})
+        assert hash(a) == hash(req(7, writes={"w"}, reads={"r"}))
+        assert a != req(8, writes={"w"}, reads={"r"})
+        assert a != req(7, writes={"w"})
+        assert a != (7, frozenset({"w"}), frozenset({"r"}))
+        assert len({a, req(7, writes={"w"}, reads={"r"})}) == 1
+
+    def test_immutable_and_dictless(self):
+        a = req(7, writes={"w"})
+        with pytest.raises(AttributeError):
+            a.start_ts = 8
+        with pytest.raises(AttributeError):
+            del a.write_set
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert not hasattr(a, "__dict__")
+        assert a.start_ts == 7
+
+    def test_repr_names_the_fields(self):
+        assert repr(CommitRequest(7)) == (
+            "CommitRequest(start_ts=7, write_set=frozenset(), "
+            "read_set=frozenset())"
+        )

@@ -193,3 +193,25 @@ class TestStateMachine:
         store.add_write_record("r", WriteRecord(5, 1))
         with pytest.raises(ValueError):
             store.add_write_record("r", WriteRecord(4, 2))
+
+    def test_write_column_reads_back_as_records(self):
+        """The column stores flat ``commit_ts, start_ts`` pairs per row
+        (no per-record object is retained); every reader still gets
+        :class:`WriteRecord` values."""
+        from array import array
+
+        from repro.percolator import WriteRecord
+
+        store = PercolatorStore()
+        for commit_ts, start_ts in ((5, 1), (9, 7), (12, 10)):
+            store.add_write_record("r", WriteRecord(commit_ts, start_ts))
+        assert store.write_column["r"] == array("q", (5, 1, 9, 7, 12, 10))
+        assert store.latest_commit_ts("r") == 12
+        assert store.latest_commit_ts("absent") is None
+        assert store.latest_write_before("r", 13) == WriteRecord(12, 10)
+        assert store.latest_write_before("r", 12) == WriteRecord(9, 7)
+        assert store.latest_write_before("r", 5) is None
+        assert store.latest_write_before("absent", 99) is None
+        assert store.write_record_for_start("r", 7) == WriteRecord(9, 7)
+        assert store.write_record_for_start("r", 8) is None
+        assert store.write_record_for_start("absent", 1) is None

@@ -10,7 +10,11 @@ import pytest
 from repro.core.errors import DecisionPending, InvalidTransactionState, OracleClosed
 from repro.core.status_oracle import CommitRequest, make_oracle
 from repro.server import CLIENT_ABORT, OracleFrontend
-from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
+from repro.wal.bookkeeper import (
+    GROUP_COMMIT_RECORD,
+    BookKeeperWAL,
+    group_commit_payload,
+)
 
 
 def req(start, writes=(), reads=()):
@@ -195,6 +199,37 @@ class TestWALGroupRecords:
         assert aborts == (s2,)
         assert flushed.committed_payload == commits
         assert flushed.aborted_payload == aborts
+
+    def test_payload_is_the_one_normal_form_with_and_without_a_wal(self):
+        """Same decisions, same payload — ``rows`` a tuple equal as a set
+        to the request's write set — whether the record went to a WAL
+        (then the batch exposes the record's own payload object) or the
+        frontend has no WAL to write to."""
+        write_sets = [frozenset({"a", "b", "c"}), frozenset({("k", 1), ("k", 2)})]
+        payloads = []
+        for with_wal in (True, False):
+            if with_wal:
+                frontend, _, wal = make_frontend(max_batch=10)
+            else:
+                frontend, wal = OracleFrontend(make_oracle("wsi"), max_batch=10), None
+            starts = [frontend.begin() for _ in range(3)]
+            for start, write_set in zip(starts, write_sets):
+                frontend.submit_commit(CommitRequest(start, write_set))
+            frontend.submit_abort(starts[2])
+            flushed = frontend.flush()
+            assert flushed.wal_written is with_wal
+            if with_wal:
+                (record,) = decision_records(wal)
+                assert flushed.committed_payload is record.payload[0]
+                assert flushed.aborted_payload is record.payload[1]
+            payloads.append((flushed.committed_payload, flushed.aborted_payload))
+        assert payloads[0] == payloads[1]
+        assert payloads[0] == group_commit_payload(*payloads[0])
+        commits, aborts = payloads[0]
+        assert type(commits) is tuple and aborts == (starts[2],)
+        for (_, _, rows), write_set in zip(commits, write_sets):
+            assert type(rows) is tuple
+            assert len(rows) == len(write_set) and set(rows) == write_set
 
     def test_nowait_outcomes_delivered_via_flushed_batch(self):
         frontend, oracle, _ = make_frontend(max_batch=10)
@@ -564,6 +599,19 @@ class TestClientSession:
         session.commit(write_set={"a"})
         with pytest.raises(InvalidTransactionState):
             session.commit(write_set={"a"})  # already submitted
+
+    def test_commit_and_abort_reject_a_not_open_ts_identically(self):
+        frontend, _, _ = make_frontend(max_batch=10)
+        session = frontend.session(name="s1")
+        done = session.begin()
+        session.commit(write_set={"a"})
+        for ts in (None, done, 10_000):
+            with pytest.raises(InvalidTransactionState) as by_commit:
+                session.commit(write_set={"a"}, start_ts=ts)
+            with pytest.raises(InvalidTransactionState) as by_abort:
+                session.abort(start_ts=ts)
+            assert str(by_commit.value) == str(by_abort.value)
+        assert session.submitted == 1 and frontend.pending_count == 1
 
     def test_session_abort(self):
         frontend, oracle, _ = make_frontend(max_batch=10)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.wal.bookkeeper import BookKeeperWAL
+from repro.core.status_oracle import make_oracle
+from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL, group_commit_payload
 from repro.wal.ledger import LedgerManager
 
 
@@ -66,6 +67,13 @@ class TestBatching:
         assert wal.batching_factor() == pytest.approx(10.0)
         assert wal.effective_tps_capacity() == pytest.approx(200_000)
 
+    def test_batching_factor_before_any_flush(self):
+        wal = BookKeeperWAL()
+        assert wal.batching_factor() == 0.0
+        wal.append("commit", (1,), size=32)  # buffered: still no flush
+        assert wal.batching_factor() == 0.0
+        assert wal.effective_tps_capacity() == pytest.approx(20_000)
+
     def test_record_counters(self):
         wal = BookKeeperWAL()
         for _ in range(40):
@@ -108,6 +116,62 @@ class TestDurabilityContract:
         wal.flush()
         payloads = [r.payload[0] for r in wal.replay()]
         assert payloads == list(range(100))
+
+
+class TestGroupCommitNormalForm:
+    """One normal form for group-commit records, whichever way in:
+    ``(start_ts, commit_ts, rows)`` with ``rows`` a plain tuple."""
+
+    #: What a decide loop hands over: rows are the request's frozenset.
+    COMMITS = [(1, 3, frozenset({"a", "b"})), (2, 4, frozenset({("k", 7)}))]
+    ABORTS = [5, 6]
+
+    def assert_normal_form(self, payload):
+        commits, aborts = payload
+        assert type(commits) is tuple and type(aborts) is tuple
+        assert aborts == tuple(self.ABORTS)
+        assert [(s, c) for s, c, _ in commits] == [(s, c) for s, c, _ in self.COMMITS]
+        for (_, _, rows), (_, _, write_set) in zip(commits, self.COMMITS):
+            assert type(rows) is tuple
+            assert len(rows) == len(write_set) and set(rows) == write_set
+
+    def test_every_entry_point_writes_the_same_payload(self):
+        by_group, by_decisions = BookKeeperWAL(), BookKeeperWAL()
+        by_group.append_group_commit(self.COMMITS, self.ABORTS)
+        returned = by_decisions.append_decisions(list(self.COMMITS), list(self.ABORTS))
+        by_group.flush()
+        by_decisions.flush()
+        (group_record,) = by_group.replay()
+        (decisions_record,) = by_decisions.replay()
+        assert group_record.kind == decisions_record.kind == GROUP_COMMIT_RECORD
+        assert group_record.size == decisions_record.size == 4 * 32
+        assert decisions_record.payload is returned
+        self.assert_normal_form(group_record.payload)
+        assert group_record.payload == decisions_record.payload
+        assert group_record.payload == group_commit_payload(self.COMMITS, self.ABORTS)
+
+    def test_normal_form_is_a_fixed_point(self):
+        once = group_commit_payload(self.COMMITS, self.ABORTS)
+        assert group_commit_payload(*once) == once
+
+    def test_recovery_is_identical_from_either_record(self):
+        recovered = []
+        for append in (BookKeeperWAL.append_group_commit, BookKeeperWAL.append_decisions):
+            wal = BookKeeperWAL()
+            append(wal, self.COMMITS, self.ABORTS)
+            wal.flush()
+            engine = make_oracle("wsi", lastcommit="dict")
+            engine.recover_from(wal)
+            recovered.append(engine)
+        one, other = recovered
+        assert dict(one._last_commit) == dict(other._last_commit)
+        assert one.last_commit("a") == 3 and one.last_commit(("k", 7)) == 4
+        for start_ts, commit_ts, _ in self.COMMITS:
+            assert one.commit_table.commit_timestamp(start_ts) == commit_ts
+            assert other.commit_table.commit_timestamp(start_ts) == commit_ts
+        for start_ts in self.ABORTS:
+            assert one.commit_table.is_aborted(start_ts)
+            assert other.commit_table.is_aborted(start_ts)
 
 
 class TestLedgerRotation:
