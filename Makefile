@@ -100,7 +100,13 @@ check:
 ## cyclic collector's share of a session-driven batch-32 run whose
 ## caller keeps its futures: seconds per generation (gc.callbacks —
 ## cProfile cannot see them) and the tracked objects the run left behind.
+## Last, the transactional client's side (the `txn-mixed` path): 200 k
+## preloaded rows, the zipfian mixed workload interleaved 16 wide
+## through TransactionManager; us per begin / read / write / commit,
+## reads and writes per transaction, versions examined per read and the
+## abort rate — the traffic a change to the read path is sized against.
 profile:
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-e24
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-gc
+	PYTHONPATH=src python -m repro.bench.harness --profile-txn

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import AbortException
@@ -153,3 +154,128 @@ def run_sequential(
     must commit everything.
     """
     return run_interleaved(manager, specs, concurrency=1, value_of=value_of)
+
+
+# ----------------------------------------------------------------------
+# `make profile`, fourth leg: where a transaction's time goes, per call
+# ----------------------------------------------------------------------
+class _TimedTxn:
+    """The slice of :class:`Transaction` the interleaver drives, with
+    each call timed into the owning :class:`_TimedManager`."""
+
+    __slots__ = ("_txn", "_clock", "start_ts")
+
+    def __init__(self, txn: Transaction, clock: "_TimedManager") -> None:
+        self._txn = txn
+        self._clock = clock
+        self.start_ts = txn.start_ts
+
+    def read(self, row):
+        clock, txn = self._clock, self._txn
+        t0 = perf_counter_ns()
+        value = txn.read(row)
+        clock.charge("read", perf_counter_ns() - t0)
+        if clock.calls["read"] % clock.sample_every == 0:
+            # Untimed: how many versions the same read had to look at.
+            version, skipped = clock.manager.reader.read_with_provenance(
+                row, txn.start_ts, txn.start_ts
+            )
+            clock.sampled_reads += 1
+            clock.versions_examined += skipped + (version is not None)
+        return value
+
+    def write(self, row, value) -> None:
+        t0 = perf_counter_ns()
+        self._txn.write(row, value)
+        self._clock.charge("write", perf_counter_ns() - t0)
+
+    def commit(self) -> int:
+        t0 = perf_counter_ns()
+        try:
+            return self._txn.commit()
+        finally:
+            self._clock.charge("commit", perf_counter_ns() - t0)
+
+
+class _TimedManager:
+    """A :class:`TransactionManager` stand-in for :func:`run_interleaved`
+    that accumulates nanoseconds and call counts per operation kind."""
+
+    def __init__(self, manager: TransactionManager, sample_every: int) -> None:
+        self.manager = manager
+        self.sample_every = sample_every
+        self.ns = dict.fromkeys(("begin", "read", "write", "commit"), 0)
+        self.calls = dict(self.ns)
+        self.sampled_reads = 0
+        self.versions_examined = 0
+
+    def charge(self, kind: str, elapsed_ns: int) -> None:
+        self.ns[kind] += elapsed_ns
+        self.calls[kind] += 1
+
+    def begin(self) -> _TimedTxn:
+        t0 = perf_counter_ns()
+        txn = self.manager.begin()
+        self.charge("begin", perf_counter_ns() - t0)
+        return _TimedTxn(txn, self)
+
+
+def profile_transactions(
+    transactions: int = 20_000,
+    keyspace: int = 200_000,
+    concurrency: int = 16,
+    seed: int = 1,
+    sample_every: int = 16,
+) -> None:
+    """Print the per-call cost and the traffic of the ``txn-mixed`` path.
+
+    Preloads ``keyspace`` rows into ``create_system("wsi", durable=True)``,
+    drives ``mixed_workload("zipfian")`` through :func:`run_interleaved`
+    and reports microseconds per ``begin`` / ``read`` / ``write`` /
+    ``commit`` (each figure includes the ~0.1 us timing wrapper), reads
+    and writes per transaction, versions examined per read (one read in
+    ``sample_every`` is repeated, untimed, through
+    ``read_with_provenance``) and the abort rate.
+    """
+    from repro.core.isolation import create_system
+    from repro.workload.generator import mixed_workload
+
+    manager = create_system("wsi", durable=True).manager
+    chunk = 1_000
+    for lo in range(0, keyspace, chunk):
+        with manager.begin() as txn:
+            for row in range(lo, min(lo + chunk, keyspace)):
+                txn.write(row, -1)
+    specs = mixed_workload("zipfian", keyspace=keyspace, seed=seed).batch(
+        transactions
+    )
+    timed = _TimedManager(manager, sample_every)
+    result = run_interleaved(timed, specs, concurrency=concurrency, seed=seed)
+
+    print(
+        f"txn-mixed profile: {result.total} transactions (zipfian over "
+        f"{keyspace} preloaded rows, {concurrency} open at a time)"
+    )
+    for kind in ("begin", "read", "write", "commit"):
+        calls = timed.calls[kind]
+        print(
+            f"  {kind:<7} {timed.ns[kind] / max(calls, 1) / 1e3:7.2f} us/call"
+            f"  {calls:8d} calls"
+            f"  {timed.ns[kind] / result.total / 1e3:7.2f} us/transaction"
+        )
+    print(
+        f"  per transaction: {timed.calls['read'] / result.total:.2f} reads, "
+        f"{timed.calls['write'] / result.total:.2f} writes; "
+        f"{timed.versions_examined / max(timed.sampled_reads, 1):.2f} versions "
+        f"examined per read ({timed.sampled_reads} sampled); "
+        f"abort rate {result.abort_rate:.1%}"
+    )
+
+
+if __name__ == "__main__":  # pragma: no cover - `make profile` entry point
+    import sys
+
+    if "--profile-txn" in sys.argv:
+        profile_transactions()
+    else:
+        sys.exit("usage: python -m repro.bench.harness --profile-txn")

@@ -12,7 +12,13 @@ replica.
 :class:`CommitTable` is the authoritative copy inside the status oracle;
 :class:`ClientCommitView` is a read-only replica a client keeps in sync by
 applying the oracle's broadcast stream.  Both satisfy the
-:class:`repro.mvcc.snapshot.CommitStatusSource` protocol.
+:class:`repro.mvcc.snapshot.CommitStatusSource` protocol, and on both
+``commit_timestamp`` *is* the mapping's own bound ``dict.get`` (assigned
+in ``__init__``; the dict is never rebound): the snapshot-read kernel
+probes it once per version examined, so the probe is a C call.  Commit
+and abort are mutually exclusive per transaction — ``record_commit`` /
+``record_abort`` enforce it — which is why ``None`` from that one probe
+already means "running or aborted" and readers never ask ``is_aborted``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ class CommitTable:
         self._commits: Dict[int, int] = {}  # start_ts -> commit_ts
         self._aborted: Set[int] = set()
         self._subscribers: List[Callable[[str, int, Optional[int]], None]] = []
+        #: CommitStatusSource: commit timestamp of the transaction that
+        #: started at ``start_ts``, ``None`` while running or if aborted.
+        self.commit_timestamp: Callable[[int], Optional[int]] = self._commits.get
 
     # ------------------------------------------------------------------
     # updates (status-oracle side)
@@ -50,11 +59,8 @@ class CommitTable:
         self._publish("abort", start_ts, None)
 
     # ------------------------------------------------------------------
-    # CommitStatusSource protocol
+    # CommitStatusSource protocol (commit_timestamp: see __init__)
     # ------------------------------------------------------------------
-    def commit_timestamp(self, start_ts: int) -> Optional[int]:
-        return self._commits.get(start_ts)
-
     def is_aborted(self, start_ts: int) -> bool:
         return start_ts in self._aborted
 
@@ -110,6 +116,10 @@ class ClientCommitView:
     def __init__(self, source: Optional[CommitTable] = None) -> None:
         self._commits: Dict[int, int] = {}
         self._aborted: Set[int] = set()
+        #: CommitStatusSource: as :attr:`CommitTable.commit_timestamp`,
+        #: answered from this replica (``None`` also for a commit the
+        #: replication stream has not delivered yet).
+        self.commit_timestamp: Callable[[int], Optional[int]] = self._commits.get
         if source is not None:
             for kind, start_ts, commit_ts in source.snapshot_entries():
                 self.apply(kind, start_ts, commit_ts)
@@ -128,10 +138,7 @@ class ClientCommitView:
         else:
             raise ValueError(f"unknown commit-table record kind {kind!r}")
 
-    # CommitStatusSource protocol -------------------------------------
-    def commit_timestamp(self, start_ts: int) -> Optional[int]:
-        return self._commits.get(start_ts)
-
+    # CommitStatusSource protocol (commit_timestamp: see __init__) -----
     def is_aborted(self, start_ts: int) -> bool:
         return start_ts in self._aborted
 

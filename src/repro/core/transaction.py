@@ -24,7 +24,9 @@ satisfying the small :class:`StorageBackend` protocol.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Protocol, Set
+from typing import (
+    Any, Dict, Hashable, Iterable, List, Optional, Protocol, Set, Tuple,
+)
 
 from repro.core.commit_table import ClientCommitView, CommitTable
 from repro.core.conflicts import TxnFootprint
@@ -47,7 +49,10 @@ class StorageBackend(Protocol):
 
     def put(self, row: RowKey, timestamp: int, value: Any) -> None: ...
 
-    def get_versions(self, row: RowKey, max_timestamp: Optional[int] = None): ...
+    def history(self, row: RowKey) -> Optional[Tuple[List[int], List[Any]]]:
+        """The read primitive: the row's parallel ``(timestamps ascending,
+        values)`` sequences, or ``None`` — borrowed read-only for the
+        duration of the call (see :mod:`repro.mvcc.store`)."""
 
     def delete_version(self, row: RowKey, timestamp: int) -> bool: ...
 
@@ -56,6 +61,11 @@ class TxnState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+#: ``Transaction.read`` tests its state on every call; a module global
+#: is one lookup where ``TxnState.ACTIVE`` is two, through a metaclass.
+_ACTIVE = TxnState.ACTIVE
 
 
 class Transaction:
@@ -88,18 +98,15 @@ class Transaction:
         analytical "skip the commit check" escape hatch of §5.2, and for
         tests; normal application reads must leave it True.
         """
-        self._require_active()
+        if self.state is not _ACTIVE:
+            self._require_active()
         if row in self._writes:
             value = self._writes[row]
             if track:
                 self.read_set.add(row)
             return default if value is TOMBSTONE else value
-        value = self._manager.reader.read_value(
-            row,
-            snapshot_ts=self.start_ts,
-            own_start_ts=self.start_ts,
-            default=default,
-        )
+        start_ts = self.start_ts
+        value = self._manager.reader.read_value(row, start_ts, start_ts, default)
         if track:
             self.read_set.add(row)
         return value

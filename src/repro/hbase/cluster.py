@@ -3,7 +3,7 @@
 Routes every row access through a :class:`~repro.mvcc.region.RegionMap` to
 the owning :class:`~repro.hbase.region_server.RegionServer`, mirroring the
 paper's 25-RegionServer table.  Because it exposes the same
-``put`` / ``get_versions`` / ``delete_version`` surface as
+``put`` / ``history`` / ``delete_version`` surface as
 :class:`~repro.mvcc.store.MVCCStore`, the transaction client runs against
 a cluster unchanged — transactions span regions and servers exactly as
 the paper describes ("A transaction client has to read/write cell data
@@ -78,6 +78,9 @@ class HBaseCluster:
     # ------------------------------------------------------------------
     def put(self, row: RowKey, timestamp: int, value: Any) -> None:
         self.server_for(row).put(row, timestamp, value)
+
+    def history(self, row: RowKey) -> Optional[Tuple[List[int], List[Any]]]:
+        return self.server_for(row).history(row)
 
     def get_versions(
         self, row: RowKey, max_timestamp: Optional[int] = None

@@ -16,7 +16,7 @@ be serviced from the data already loaded into data servers").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.sharding import ShardingPolicy, stable_hash
 from repro.mvcc.store import MVCCStore
@@ -130,12 +130,20 @@ class RegionServer:
         self.put_count += 1
         self.store.put(row, timestamp, value)
 
+    def history(self, row: RowKey) -> Optional[Tuple[List[int], List[Any]]]:
+        self._count_get(row)
+        return self.store.history(row)
+
     def get_versions(
         self, row: RowKey, max_timestamp: Optional[int] = None
     ) -> Iterator[Version]:
+        self._count_get(row)
+        return self.store.get_versions(row, max_timestamp)
+
+    def _count_get(self, row: RowKey) -> None:
+        """One get, whichever form it took: counter and block cache."""
         self.get_count += 1
         self.last_access_hit = self.cache.touch(row)
-        return self.store.get_versions(row, max_timestamp)
 
     def delete_version(self, row: RowKey, timestamp: int) -> bool:
         return self.store.delete_version(row, timestamp)

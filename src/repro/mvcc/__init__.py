@@ -2,9 +2,13 @@
 
 Public surface:
 
-* :class:`MVCCStore` — versioned key-value map.
+* :class:`MVCCStore` — versioned key-value map; ``history(row)``, the
+  row's borrowed ``(timestamps, values)`` columns, is its read primitive
+  and ``get_versions`` the iterator form of it.
 * :class:`Version` / :data:`TOMBSTONE` — timestamped cell values.
-* :class:`SnapshotReader` — the paper's snapshot-read skip rule.
+* :class:`SnapshotReader` — the paper's snapshot-read skip rule: one
+  kernel over ``history`` and one ``commit_timestamp`` probe per version
+  examined, resolving store and commit source afresh on every call.
 * :class:`Region` / :class:`RegionMap` — key-range sharding.
 """
 

@@ -1,20 +1,28 @@
 """In-process multi-version key-value store.
 
 This is the substrate standing in for an HBase RegionServer's storage: a
-map from row key to a time-ordered list of :class:`~repro.mvcc.version.Version`
-cells.  It supports the three accesses the transactional layer needs:
+map from row key to the row's *history* — two parallel columns, the
+writers' start timestamps ascending and the values written at them.  It
+supports the three accesses the transactional layer needs:
 
 * ``put(row, ts, value)`` — add a version (uncommitted data is written
   directly into the store at the writer's start timestamp, exactly as in
   the paper's lock-free scheme and in Percolator);
-* ``get_versions(row, max_ts)`` — retrieve versions visible *at or below*
-  a timestamp, newest first (the snapshot-read primitive);
+* ``history(row)`` — the read primitive: the row's two columns, or
+  ``None``.  One ``dict`` probe, nothing allocated.  The columns are
+  *borrowed*: they are the store's own lists, so a caller reads them
+  inside the call that fetched them and never mutates or keeps them —
+  copying them would cost more than the snapshot read they serve;
 * ``delete_version(row, ts)`` — physically remove a version (used to clean
   up the writes of aborted transactions).
 
+``get_versions(row, max_ts)`` is the iterator form of ``history`` for
+everything that is not the snapshot-read hot path: newest first, one
+:class:`~repro.mvcc.version.Version` object per version yielded.
+
 The store itself knows nothing about transactions or commit state; the
-snapshot-filter logic that skips uncommitted/aborted/late-committed
-versions lives in :mod:`repro.mvcc.snapshot`.
+rule that skips uncommitted/aborted/late-committed versions lives in
+:mod:`repro.mvcc.snapshot`.
 """
 
 from __future__ import annotations
@@ -49,13 +57,21 @@ class MVCCStore:
         this matches HBase semantics where a cell is keyed by
         (row, column, ts) and a re-put replaces the value.
         """
-        ts_list, val_list = self._rows.setdefault(row, ([], []))
-        idx = bisect.bisect_left(ts_list, timestamp)
-        if idx < len(ts_list) and ts_list[idx] == timestamp:
-            val_list[idx] = value
+        entry = self._rows.get(row)
+        if entry is None:
+            self._rows[row] = ([timestamp], [value])
         else:
-            ts_list.insert(idx, timestamp)
-            val_list.insert(idx, value)
+            ts_list, val_list = entry
+            if timestamp > ts_list[-1]:  # the common case: a newer writer
+                ts_list.append(timestamp)
+                val_list.append(value)
+            else:
+                idx = bisect.bisect_left(ts_list, timestamp)
+                if ts_list[idx] == timestamp:
+                    val_list[idx] = value
+                else:
+                    ts_list.insert(idx, timestamp)
+                    val_list.insert(idx, value)
         self._put_count += 1
 
     def delete(self, row: RowKey, timestamp: int) -> None:
@@ -84,14 +100,17 @@ class MVCCStore:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+    def history(self, row: RowKey) -> Optional[Tuple[List[int], List[Any]]]:
+        """The columns of ``row`` — ``(timestamps ascending, values)`` — or
+        ``None``.  Borrowed read-only for the duration of the call."""
+        return self._rows.get(row)
+
     def get_versions(
         self, row: RowKey, max_timestamp: Optional[int] = None
     ) -> Iterator[Version]:
         """Yield versions of ``row`` with ts <= max_timestamp, newest first.
 
-        ``max_timestamp=None`` yields every version.  Newest-first order is
-        what the snapshot reader wants: it scans until it finds the first
-        version whose writer committed inside the reader's snapshot.
+        ``max_timestamp=None`` yields every version.
         """
         entry = self._rows.get(row)
         if entry is None:
@@ -132,11 +151,10 @@ class MVCCStore:
 
     def scan_range(self, start: RowKey, end: RowKey) -> Iterator[RowKey]:
         """Yield row keys in ``[start, end)`` (requires orderable keys)."""
-        for row in sorted(self._rows.keys()):  # type: ignore[type-var]
-            if row >= end:  # type: ignore[operator]
-                break
-            if row >= start:  # type: ignore[operator]
-                yield row
+        return iter(sorted(  # type: ignore[type-var]
+            row for row in self._rows
+            if start <= row < end  # type: ignore[operator]
+        ))
 
     def compact(self, row: RowKey, keep_after: int) -> int:
         """Drop versions of ``row`` strictly older than ``keep_after``.

@@ -96,3 +96,88 @@ class TestReplication:
         view = ClientCommitView()
         with pytest.raises(ValueError):
             view.apply("merge", 1, 2)
+
+
+def _authoritative():
+    table = CommitTable()
+    return table, table
+
+
+def _attached_view():
+    table = CommitTable()
+    return table, ClientCommitView(table)
+
+
+class _ManualFeed:
+    """Feeds a detached view the records a commit table would publish."""
+
+    def __init__(self, view):
+        self._view = view
+
+    def record_commit(self, start_ts, commit_ts):
+        self._view.apply("commit", start_ts, commit_ts)
+
+    def record_abort(self, start_ts):
+        self._view.apply("abort", start_ts, None)
+
+
+def _detached_view():
+    view = ClientCommitView()
+    return _ManualFeed(view), view
+
+
+@pytest.mark.parametrize(
+    "build", [_authoritative, _attached_view, _detached_view],
+    ids=["table", "attached-view", "detached-view"],
+)
+class TestReaderContract:
+    """What the snapshot-read kernel relies on: ``commit_timestamp`` alone
+    tells it whether a version is readable, so it never asks
+    ``is_aborted`` (:mod:`repro.mvcc.snapshot`)."""
+
+    def test_aborted_has_no_commit_timestamp(self, build):
+        feed, source = build()
+        feed.record_abort(5)
+        assert source.is_aborted(5)
+        assert source.commit_timestamp(5) is None
+
+    def test_running_has_no_commit_timestamp(self, build):
+        feed, source = build()
+        feed.record_commit(1, 2)
+        assert source.commit_timestamp(7) is None
+        assert not source.is_aborted(7)
+
+    def test_a_held_probe_follows_later_updates(self, build):
+        # commit_timestamp is bound once, to a mapping that is only ever
+        # mutated in place: a probe taken early must see later commits.
+        feed, source = build()
+        probe = source.commit_timestamp
+        assert probe(5) is None
+        feed.record_commit(5, 9)
+        feed.record_abort(6)
+        assert (probe(5), probe(6)) == (9, None)
+
+
+class TestExclusionSurvivesRejection:
+    """Commit and abort stay mutually exclusive per transaction (the two
+    ``*_rejected`` tests above), and a rejected call changes nothing."""
+
+    def test_rejected_commit_leaves_the_abort(self):
+        table = CommitTable()
+        view = ClientCommitView(table)
+        table.record_abort(5)
+        with pytest.raises(ValueError):
+            table.record_commit(5, 9)
+        for source in (table, view):
+            assert source.is_aborted(5)
+            assert source.commit_timestamp(5) is None
+
+    def test_rejected_abort_leaves_the_commit(self):
+        table = CommitTable()
+        view = ClientCommitView(table)
+        table.record_commit(5, 9)
+        with pytest.raises(ValueError):
+            table.record_abort(5)
+        for source in (table, view):
+            assert not source.is_aborted(5)
+            assert source.commit_timestamp(5) == 9

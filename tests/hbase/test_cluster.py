@@ -45,6 +45,23 @@ class TestMetrics:
         assert cluster.total_puts() == 1
         assert cluster.total_gets() == 1
 
+    def test_history_is_accounted_like_get_versions(self):
+        cluster = HBaseCluster.for_integer_keyspace(
+            num_rows=100, num_servers=2, cache_blocks_per_server=4
+        )
+        cluster.put(1, 1, "a")
+        server = cluster.server_for(1)
+        assert cluster.history(1) == ([1], ["a"])
+        assert (server.get_count, server.cache.misses, server.last_access_hit) == (
+            1, 1, False
+        )
+        assert cluster.history(1) == ([1], ["a"])
+        assert (server.get_count, server.cache.hits, server.last_access_hit) == (
+            2, 1, True
+        )
+        assert cluster.history(2) is None  # a missing row is still a get
+        assert cluster.total_gets() == 3
+
     def test_load_imbalance_uniform(self):
         cluster = HBaseCluster.for_integer_keyspace(
             num_rows=10_000, num_servers=4, regions_per_server=4

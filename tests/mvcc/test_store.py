@@ -35,6 +35,30 @@ class TestPutGet:
         assert [v.timestamp for v in versions] == [10, 7, 5]
 
 
+    def test_out_of_order_then_newest(self):
+        # Every arm of put on one row: new row, append (newer than the
+        # last version), insert below, overwrite in the middle, append.
+        store = MVCCStore()
+        for ts, value in ((10, "c"), (20, "e"), (5, "a"), (10, "C"), (30, "f")):
+            store.put("row", ts, value)
+        assert store.history("row") == ([5, 10, 20, 30], ["a", "C", "e", "f"])
+        assert store.put_count == 5
+        assert store.version_count == 4
+
+    def test_history_is_the_bulk_form_of_get_versions(self):
+        store = MVCCStore()
+        assert store.history("row") is None
+        for ts in (7, 3, 9):
+            store.put("row", ts, ts * 10)
+        timestamps, values = store.history("row")
+        assert timestamps == sorted(timestamps)
+        assert list(zip(timestamps, values))[::-1] == [
+            (v.timestamp, v.value) for v in store.get_versions("row")
+        ]
+        store.delete_version("row", 7)
+        assert store.history("row") == ([3, 9], [30, 90])
+
+
 class TestVersionScan:
     def test_newest_first_below_bound(self):
         store = MVCCStore()
@@ -108,6 +132,13 @@ class TestScans:
         for row in (1, 3, 5, 7, 9):
             store.put(row, 1, row)
         assert list(store.scan_range(3, 8)) == [3, 5, 7]
+
+    def test_scan_range_sorted_whatever_the_insertion_order(self):
+        store = MVCCStore()
+        for row in (9, 1, 7, 3, 5):
+            store.put(row, 1, row)
+        assert list(store.scan_range(1, 9)) == [1, 3, 5, 7]
+        assert list(store.scan_range(0, 100)) == [1, 3, 5, 7, 9]
 
     def test_scan_range_empty(self):
         store = MVCCStore()

@@ -17,7 +17,8 @@ The tentpole invariants:
 
 import pytest
 
-from repro.core.errors import DecisionPending, OracleClosed, Overloaded
+from repro.core.errors import ConflictAbort, DecisionPending, OracleClosed, Overloaded
+from repro.core.isolation import create_system
 from repro.core.status_oracle import CommitRequest
 from repro.server import ReplicatedFrontend, RetryPolicy
 
@@ -342,6 +343,45 @@ class TestAdmissionControl:
         assert session.backoff_seconds > 0
         rf.flush()
         assert session.commits == 2
+
+
+class TestCommitStatusAcrossFailover:
+    """``ReplicatedOracleFacade.commit_status`` under the snapshot-read
+    kernel: one ``commit_timestamp`` probe per version, answered by the
+    commit table of whoever leads *now* — a reader that kept a table's
+    probe from before the failover would miss every later commit."""
+
+    def test_aborted_has_no_commit_timestamp(self):
+        system = create_system("wsi", replicated=3)
+        status = system.oracle.commit_status
+        loser, winner = system.manager.begin(), system.manager.begin()
+        loser.read("x")
+        winner.write("x", "w")
+        loser.write("y", "l")
+        winner.commit()
+        with pytest.raises(ConflictAbort):
+            loser.commit()
+        assert status.is_aborted(loser.start_ts)
+        assert status.commit_timestamp(loser.start_ts) is None
+        assert status.commit_timestamp(winner.start_ts) == winner.commit_ts
+        assert status.commit_timestamp(loser.start_ts + 1_000) is None  # unknown
+
+    def test_read_after_failover_sees_the_new_leaders_commit(self):
+        system = create_system("wsi", replicated=3)
+        manager = system.manager  # its reader is built once, up front
+        with manager.begin() as txn:
+            txn.write("row", "old leader")
+        assert manager.begin().read("row") == "old leader"  # probe exercised
+        old_table = system.frontend.active_host().oracle.commit_table
+
+        system.frontend.kill_active()
+        with manager.begin() as txn:
+            txn.write("row", "new leader")
+        new_table = system.frontend.active_host().oracle.commit_table
+        assert new_table is not old_table
+        assert old_table.commit_timestamp(txn.start_ts) is None  # dead host
+        assert manager.begin().read("row") == "new leader"
+        assert manager.reader.read("row", txn.commit_ts + 1).timestamp == txn.start_ts
 
 
 class TestEngineParameter:
