@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: lint test test-fast bench bench-smoke check profile
+.PHONY: lint test test-fast bench bench-smoke check profile loc
 
 ## Invariant lint: the six AST passes in repro.analysis (builtin-hash
 ## routing, decision-path determinism, guarded-by lock discipline,
@@ -34,8 +34,9 @@ bench:
 ## (REPRO_BENCH_SMOKE relaxes the bars accordingly).  Writes the
 ## headline ratios per experiment to BENCH_smoke.json (the snapshot is
 ## committed, so behaviour drifts show up as a diff).  Runs in a few
-## seconds; `make test-fast` still skips the benchmarks directory
-## entirely (its conftest marks every figure benchmark @slow).
+## seconds.  `make test-fast` skips every figure benchmark (the
+## benchmarks conftest marks them @slow) but does run the end-to-end
+## harness's smoke test, benchmarks/e2e/test_e2e_smoke.py.
 bench-smoke:
 	rm -f BENCH_smoke.json
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_SNAPSHOT=BENCH_smoke.json $(PYTEST) \
@@ -110,3 +111,12 @@ profile:
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-e24
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-gc
 	PYTHONPATH=src python -m repro.bench.harness --profile-txn
+
+## Lines of Python in src/repro per package, plus the total: the
+## "lines removed from src/ at equal bars" metric of ROADMAP aim 2.
+loc:
+	@for pkg in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort); do \
+		printf '%-22s %6s\n' "$${pkg#src/}" "$$(find $$pkg -name '*.py' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-22s %6s\n' "repro (top level)" "$$(cat src/repro/*.py | wc -l)"
+	@printf '%-22s %6s\n' total "$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"

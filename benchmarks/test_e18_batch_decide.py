@@ -8,9 +8,10 @@ section amortizes too.  Both sides of every pair run the same frontend
 with the same one-group-WAL-record-per-batch durability; the only
 difference is the decision loop:
 
-* ``batched-per-request`` — the PR 1 frontend shape: one
-  ``backend.commit()`` call per batch item (per-request wrapper, policy
-  hooks, per-request stats bumps, result allocation);
+* ``batched-per-request`` — one ``backend.commit()`` call per batch
+  item (per-request wrapper, policy hooks, per-request stats bumps,
+  result allocation), installed as the backend's batch-decide hook by
+  :func:`~repro.bench.frontend_bench.sequential_decide`;
 * ``batched`` — :meth:`StatusOracle.decide_batch`: one bulk pass with
   locally-bound lookups, a C-speed ``isdisjoint`` sweep for the
   no-conflict common case, dict-bulk write-set installs, and stats

@@ -1,31 +1,40 @@
-"""E19 — the cross-partition batch protocol vs the per-request fallback.
+"""E19 — the cross-partition batch protocol vs the pre-protocol engine.
 
 Not a paper figure: this closes the gap E18 left open.  E18 showed the
 batch-decide engine amortizing the critical section for monolithic and
-partition-aligned traffic, but every **cross-partition** request still
-broke the group-commit run and fell back to a per-request two-phase
-decision — so hash-sharded multi-row workloads (the default shape under
-§6.3 footnote 6's row-hash partitioning) lost the entire amortization
-win.  E19 measures what the cross-partition batch protocol buys them.
+partition-aligned traffic, but before the cross-partition batch
+protocol every **cross-partition** request broke the group-commit run
+and fell back to a per-request two-phase decision — so hash-sharded
+multi-row workloads (the default shape under §6.3 footnote 6's row-hash
+partitioning) lost the entire amortization win.  E19 measures what the
+cross-partition batch protocol buys them.
 
-Both sides of every pair run the *same* engine-mode frontend with the
-same one-group-WAL-record-per-batch durability; the only difference is
-the backend engine:
+Both sides of every pair run the *same* frontend over the same
+partitioned oracle with the same one-group-WAL-record-per-batch
+durability; the only difference is the batch-decide hook:
 
-* ``cross-per-request`` — the preserved pre-protocol engine
-  (``PartitionedOracle(batch_cross=False)``): runs of single-partition
-  items decide in bulk, but each cross-partition item breaks the run
-  and pays a share-request construction plus a ``_check`` visit per
-  involved partition, one ``tso.next()`` and one commit-table call —
-  per request;
+* ``cross-per-request`` — the pre-protocol engine, kept as a fixture
+  in ``benchmarks/e19_pre_protocol.py`` and installed on the oracle
+  instance: runs of single-partition items decide in bulk, but each
+  cross-partition item breaks the run and pays a share-request
+  construction plus a ``_check`` visit per involved partition, one
+  ``tso.next()`` and one commit-table call — per request;
 * ``cross-batched`` — the cross-partition batch protocol: the whole
   flush decides with one bulk validation round and one bulk install
   round per involved partition (see ``repro/core/partitioned.py``).
 
 Acceptance: on a cross-partition-heavy workload (every multi-row
 footprint spans partitions — >= 50 % multi-partition decisions), the
-batched protocol sustains >= 1.5x the per-request two-phase baseline at
-batch size 32 (WSI, median of paired runs — E17/E18's protocol).
+batched protocol sustains >= 1.5x the pre-protocol engine at batch size
+32 (WSI, median of paired runs — E17/E18's protocol).
+
+The table also lists the plain per-request loop
+(:func:`~repro.bench.frontend_bench.sequential_decide`, one ``commit()``
+per item — E18's baseline).  Against it the protocol is close to parity
+in wall clock in-process; what it buys there is *rounds* (one per
+involved partition per flush instead of a visit per involved partition
+per cross request — one RPC each in a distributed deployment), counted
+by E19d.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` target) for a
 tiny-sized sanity run with correspondingly relaxed bars.
@@ -43,7 +52,11 @@ from repro.bench.frontend_bench import (
     make_specs,
     median_speedup,
     paired_cross_speedups,
+    sequential_decide,
 )
+
+# A sibling module: pytest puts this (package-less) directory on sys.path.
+from e19_pre_protocol import install_pre_protocol_engine
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NUM_REQUESTS = 4_000 if SMOKE else 24_000
@@ -68,19 +81,25 @@ def test_e19_cross_partition_batch_speedup(benchmark, print_header):
             num_requests=NUM_REQUESTS,
             partitions=PARTITIONS,
             cross_every=1,
+            baseline=install_pre_protocol_engine,
         ),
         rounds=1,
         iterations=1,
     )
     print_header(
-        "E19 — cross-partition batch protocol vs per-request two-phase "
+        "E19 — cross-partition batch protocol vs the pre-protocol engine "
         "(wall clock)"
     )
 
     specs = make_specs(NUM_REQUESTS)
     rows = []
+    modes = (
+        ("pre-protocol engine", True, install_pre_protocol_engine),
+        ("sequential commit()", True, sequential_decide),
+        ("batch protocol", False, sequential_decide),
+    )
     for cross_every in CROSS_EVERY_SWEEP:
-        for per_request in (True, False):
+        for label, per_request, baseline in modes:
             r = bench_cross_partition(
                 "wsi",
                 specs,
@@ -89,12 +108,13 @@ def test_e19_cross_partition_batch_speedup(benchmark, print_header):
                 repeats=REPEATS,
                 per_request=per_request,
                 cross_every=cross_every,
+                baseline=baseline,
             )
             rows.append(
                 (
                     cross_every,
                     f"{100 * r.cross_fraction:.0f}%",
-                    r.mode,
+                    label,
                     f"{r.ops_per_sec:,.0f}",
                     f"{r.us_per_op:.2f}",
                     r.commits,
@@ -114,7 +134,7 @@ def test_e19_cross_partition_batch_speedup(benchmark, print_header):
     )
     print()
     print("paired WSI speedups at batch 32, all-cross workload "
-          "(batch protocol vs per-request two-phase):")
+          "(batch protocol vs the pre-protocol engine):")
     print("  " + "  ".join(f"{r:.2f}x" for r in ratios))
     print(
         f"  median: {median_speedup(ratios):.2f}x "
@@ -127,28 +147,39 @@ def test_e19_cross_partition_batch_speedup(benchmark, print_header):
 
 @pytest.mark.figure("e19")
 def test_e19_decisions_identical_across_modes(print_header):
-    """Zero-tolerance leg: the batch protocol and the per-request
-    fallback must produce identical decision and cross-fraction counts
-    on every workload mix (the hypothesis suite pins full state; this
-    pins it at benchmark scale)."""
-    print_header("E19b — decision equality, per-request vs batch protocol")
+    """Zero-tolerance leg: the batch protocol, the pre-protocol engine
+    and the sequential ``commit()`` loop must produce identical decision
+    and cross-fraction counts on every workload mix.  Against the
+    sequential loop the rows-examined count is exact too: both scan each
+    share in footprint order and stop at the same conflicting row (the
+    pre-protocol engine scans a share in frozenset order).  The
+    hypothesis suite pins full state; this pins it at benchmark
+    scale."""
+    print_header("E19b — decision equality across the three decision loops")
     specs = make_specs(NUM_REQUESTS)
     for cross_every in CROSS_EVERY_SWEEP:
-        per_request = bench_cross_partition(
-            "wsi", specs, batch_size=32, partitions=PARTITIONS,
-            repeats=1, per_request=True, cross_every=cross_every,
-        )
-        decided = bench_cross_partition(
-            "wsi", specs, batch_size=32, partitions=PARTITIONS,
-            repeats=1, per_request=False, cross_every=cross_every,
-        )
-        assert decided.commits == per_request.commits
-        assert decided.aborts == per_request.aborts
-        assert decided.cross_fraction == per_request.cross_fraction
+        runs = {
+            name: bench_cross_partition(
+                "wsi", specs, batch_size=32, partitions=PARTITIONS,
+                repeats=1, per_request=per_request, cross_every=cross_every,
+                baseline=baseline,
+            )
+            for name, per_request, baseline in (
+                ("pre-protocol", True, install_pre_protocol_engine),
+                ("sequential", True, sequential_decide),
+                ("batched", False, sequential_decide),
+            )
+        }
+        decided = runs["batched"]
+        for other in (runs["pre-protocol"], runs["sequential"]):
+            assert decided.commits == other.commits
+            assert decided.aborts == other.aborts
+            assert decided.cross_fraction == other.cross_fraction
+        assert decided.rows_checked == runs["sequential"].rows_checked
         print(
             f"  cross_every={cross_every}: {decided.commits} commits / "
             f"{decided.aborts} aborts / "
-            f"{100 * decided.cross_fraction:.0f}% cross in both modes"
+            f"{100 * decided.cross_fraction:.0f}% cross in all three"
         )
 
 

@@ -39,7 +39,7 @@ from typing import List, Sequence
 from repro.bench.reporting import collector_share
 from repro.core.engine import make_engine
 from repro.core.partitioned import PartitionedOracle
-from repro.core.status_oracle import CommitRequest, make_oracle
+from repro.core.status_oracle import CLIENT_ABORT, CommitRequest, make_oracle
 from repro.server.frontend import OracleFrontend
 from repro.wal.bookkeeper import BookKeeperWAL
 from repro.workload.generator import TransactionSpec, complex_workload
@@ -55,8 +55,8 @@ class FrontendBenchResult:
 
     level: str
     #: "unbatched" | "unbatched-durable" | "batched" (decide_batch) |
-    #: "batched-futures" | "batched-per-request" (the pre-decide_batch
-    #: frontend: one backend.commit() call per item — E18's baseline)
+    #: "batched-futures" | "batched-per-request" (one backend.commit()
+    #: call per item, see sequential_decide — E18's baseline)
     mode: str
     batch_size: int  # 1 for unbatched
     ops_per_sec: float
@@ -67,6 +67,9 @@ class FrontendBenchResult:
     partitions: int = 0  # 0 = monolithic oracle
     #: fraction of decisions that crossed partitions (partitioned runs).
     cross_fraction: float = 0.0
+    #: rows examined by conflict checks, summed over partitions
+    #: (cross-partition runs).
+    rows_checked: int = 0
 
     @property
     def us_per_op(self) -> float:
@@ -93,6 +96,63 @@ def make_specs(
     generation stays outside every timed region."""
     workload = complex_workload(distribution="uniform", keyspace=keyspace, seed=seed)
     return [workload.next_transaction() for _ in range(num_requests)]
+
+
+def sequential_decide(backend):
+    """Install one ``commit()`` / ``abort()`` call per batch item as
+    ``backend``'s batch-decide hook — the per-request decision loop the
+    batch engines replaced, and benchmarks E18 and E23's baseline.
+    Install it on a WAL-less backend before building the frontend, which
+    binds the hook and writes the group record.  Items may be nowait
+    requests or ``(request, future)`` pairs; a raising call is isolated
+    to its own item through ``errors``, as in the batch engines.
+    Returns ``backend``."""
+    commit, abort, stats = backend.commit, backend.abort, backend.stats
+    partitions = getattr(backend, "partitions", ())  # per-shard counters
+
+    def rows_checked():
+        return stats.rows_checked + sum(p.stats.rows_checked for p in partitions)
+
+    def decide(batch, payload_commits, payload_aborts, errors, results=None):
+        checked_before = rows_checked()
+        commits = aborts = rows_updated = 0
+        for item in batch:
+            req, fut = item if item.__class__ is tuple else (item, None)
+            try:
+                if req.__class__ is not CommitRequest:
+                    abort(req)
+                    aborts += 1
+                    payload_aborts.append(req)
+                    if fut is not None:
+                        fut._reason = CLIENT_ABORT
+                    continue
+                result = commit(req)
+            except Exception as exc:
+                start = req if req.__class__ is not CommitRequest else req.start_ts
+                errors.append((start, exc))
+                if fut is not None:
+                    fut._error = exc
+                continue
+            if result.committed:
+                commits += 1
+                if result.commit_ts is not None:
+                    rows_updated += len(req.write_set)
+                    payload_commits.append(
+                        (req.start_ts, result.commit_ts, req.write_set)
+                    )
+                if fut is not None:
+                    fut._committed = True
+                    fut._commit_ts = result.commit_ts
+            else:
+                aborts += 1
+                payload_aborts.append(req.start_ts)
+                if fut is not None:
+                    fut._reason = result.reason
+                    fut._row = result.conflict_row
+        return commits, aborts, rows_checked() - checked_before, rows_updated
+
+    backend._decide_batch = decide
+    return backend
 
 
 def _run_unbatched(level: str, specs, durable_acks: bool, partitions: int):
@@ -123,29 +183,20 @@ def _run_batched(
     per_request: bool = False,
     begin_lease: int = 1,
 ):
-    # In per-request mode the backend gets no WAL of its own (its
-    # commit() would otherwise append one record per decision and the
-    # frontend would skip the group record): both modes then persist the
-    # identical one-group-record-per-batch stream, so the measured delta
-    # is purely the decision loop — per-request calls vs decide_batch.
+    # The per-request side's backend gets no WAL of its own (see
+    # sequential_decide): both modes then persist the identical
+    # one-group-record-per-batch stream, so the measured delta is purely
+    # the decision loop — per-request calls vs decide_batch.
     wal = BookKeeperWAL()
     if partitions:
         oracle = PartitionedOracle(level=level, num_partitions=partitions)
-        frontend = OracleFrontend(
-            oracle, max_batch=batch_size, wal=wal, per_request=per_request,
-            begin_lease=begin_lease,
-        )
-    elif per_request:
-        oracle = make_oracle(level)
-        frontend = OracleFrontend(
-            oracle, max_batch=batch_size, wal=wal, per_request=True,
-            begin_lease=begin_lease,
-        )
     else:
-        oracle = make_oracle(level, wal=wal)
-        frontend = OracleFrontend(
-            oracle, max_batch=batch_size, begin_lease=begin_lease
-        )
+        oracle = make_oracle(level, wal=None if per_request else wal)
+    if per_request:
+        sequential_decide(oracle)
+    frontend = OracleFrontend(
+        oracle, max_batch=batch_size, wal=wal, begin_lease=begin_lease
+    )
     requests = [spec.commit_request(frontend.begin()) for spec in specs]
     submit = frontend.submit_commit if use_futures else frontend.submit_commit_nowait
     gc.collect()
@@ -201,7 +252,7 @@ def bench_batched(
     (:meth:`~repro.server.OracleFrontend.submit_commit_nowait`, outcomes
     delivered per batch); ``use_futures=True`` allocates a
     :class:`~repro.server.CommitFuture` per request like the session API.
-    ``per_request=True`` forces the pre-``decide_batch`` decision loop
+    ``per_request=True`` decides through :func:`sequential_decide`
     (one ``backend.commit()`` call per batch item) — benchmark E18's
     baseline.  ``begin_lease`` sets the frontend's begin-lease size; the
     harness begins every transaction before the timed commit region, so
@@ -390,9 +441,9 @@ def bench_partition_aligned(
     for _ in range(repeats):
         wal = BookKeeperWAL()
         oracle = PartitionedOracle(level=level, num_partitions=partitions)
-        frontend = OracleFrontend(
-            oracle, max_batch=batch_size, wal=wal, per_request=per_request
-        )
+        if per_request:
+            sequential_decide(oracle)
+        frontend = OracleFrontend(oracle, max_batch=batch_size, wal=wal)
         requests = make_aligned_requests(frontend, specs, partitions)
         submit = frontend.submit_commit_nowait
         gc.collect()
@@ -457,15 +508,15 @@ def make_cross_heavy_requests(frontend, specs, partitions: int,
 
 
 def _run_cross_partition(level, specs, batch_size, partitions, per_request,
-                         cross_every):
-    # Both sides run the identical engine-mode frontend; ``per_request``
-    # selects the backend's pre-protocol engine (``batch_cross=False``:
-    # cross items fall back to per-request two-phase decisions mid-run),
-    # so each pair isolates the cross-partition batch protocol itself.
+                         cross_every, baseline=sequential_decide):
+    # Both sides run the identical frontend; ``per_request`` installs
+    # ``baseline``'s decision loop on the oracle instance instead of the
+    # cross-partition batch protocol, so each pair isolates the protocol
+    # itself.
     wal = BookKeeperWAL()
-    oracle = PartitionedOracle(
-        level=level, num_partitions=partitions, batch_cross=not per_request
-    )
+    oracle = PartitionedOracle(level=level, num_partitions=partitions)
+    if per_request:
+        baseline(oracle)
     frontend = OracleFrontend(oracle, max_batch=batch_size, wal=wal)
     requests = make_cross_heavy_requests(
         frontend, specs, partitions, cross_every
@@ -488,17 +539,20 @@ def bench_cross_partition(
     repeats: int = DEFAULT_REPEATS,
     per_request: bool = False,
     cross_every: int = 2,
+    baseline=sequential_decide,
 ) -> FrontendBenchResult:
     """The cross-partition-heavy workload through the partitioned
-    frontend: ``per_request=True`` runs the preserved pre-protocol
-    engine (every cross item breaks the run and takes a per-request
-    two-phase decision — benchmark E19's baseline), ``False`` the
-    cross-partition batch protocol's one-bulk-round-per-partition
-    flush."""
+    frontend: ``per_request=True`` decides through ``baseline``, a
+    function installing a batch-decide hook on the oracle instance (by
+    default :func:`sequential_decide`: every item through the oracle's
+    own ``commit()``, a cross item taking a per-request two-phase
+    decision); ``False`` the cross-partition batch protocol's
+    one-bulk-round-per-partition flush."""
     best = None
     for _ in range(repeats):
         run = _run_cross_partition(
-            level, specs, batch_size, partitions, per_request, cross_every
+            level, specs, batch_size, partitions, per_request, cross_every,
+            baseline,
         )
         if best is None or run[0] < best[0]:
             best = run
@@ -514,6 +568,7 @@ def bench_cross_partition(
         wal_ledger_entries=wal.flush_count,
         partitions=partitions,
         cross_fraction=oracle.cross_partition_fraction(),
+        rows_checked=sum(p.stats.rows_checked for p in oracle.partitions),
     )
 
 
@@ -526,25 +581,24 @@ def paired_cross_speedups(
     seed: int = 42,
     partitions: int = 4,
     cross_every: int = 2,
+    baseline=sequential_decide,
 ) -> List[float]:
-    """Back-to-back (per-request two-phase, batch protocol) pairs on the
+    """Back-to-back (baseline, batch protocol) pairs on the
     cross-partition-heavy workload.
 
-    Benchmark E19's measurement: both sides run the same engine-mode
-    partitioned frontend with the same one-group-WAL-record-per-batch
-    durability; the baseline side selects the preserved pre-protocol
-    engine (``batch_cross=False``), so each ratio isolates exactly what
-    the cross-partition batch protocol removed — one share-request
-    construction and check visit per involved partition per request,
-    plus the run break, the per-request timestamp call and commit-table
-    write — versus one bulk validation/install round per partition per
-    flush.
+    Benchmark E19's measurement: both sides run the same partitioned
+    frontend with the same one-group-WAL-record-per-batch durability;
+    the baseline side installs ``baseline``'s decision loop on the
+    oracle (see :func:`bench_cross_partition`), so each ratio isolates
+    what the cross-partition batch protocol buys over it — one bulk
+    validation/install round per partition per flush instead of a
+    check visit per involved partition per cross request.
     """
     specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
     ratios = []
     for _ in range(pairs):
         dt_p, _, _ = _run_cross_partition(
-            level, specs, batch_size, partitions, True, cross_every
+            level, specs, batch_size, partitions, True, cross_every, baseline
         )
         dt_b, _, _ = _run_cross_partition(
             level, specs, batch_size, partitions, False, cross_every
@@ -593,9 +647,9 @@ def _run_engine(engine, specs, batch_size, per_request):
     """One engine run through the common frontend.
 
     WAL placement follows the E18 methodology: the batched side attaches
-    the WAL to the engine (its inherited ``decide_batch`` writes one
-    group record per flush), the per-request side gives the WAL to the
-    frontend (same one-group-record-per-flush stream) — so each pair
+    the WAL to the engine, the per-request side
+    (:func:`sequential_decide`) gives it to the frontend — the same
+    one-group-record-per-flush stream either way — so each pair
     isolates the engine's ``_decide_batch`` bulk pass against its
     sequential ``commit()`` loop.
 
@@ -612,13 +666,10 @@ def _run_engine(engine, specs, batch_size, per_request):
     """
     wal = BookKeeperWAL()
     if per_request:
-        backend = make_engine(engine)
-        frontend = OracleFrontend(
-            backend, max_batch=batch_size, wal=wal, per_request=True
-        )
+        backend = sequential_decide(make_engine(engine))
     else:
         backend = make_engine(engine, wal=wal)
-        frontend = OracleFrontend(backend, max_batch=batch_size)
+    frontend = OracleFrontend(backend, max_batch=batch_size, wal=wal)
     begin = frontend.begin
     submit = frontend.submit_commit_nowait
     flush = frontend.flush

@@ -69,7 +69,10 @@ Implementations
 ===============
 
 * :class:`~repro.core.status_oracle.StatusOracle` and subclasses —
-  the paper's Algorithms 1–3 plus the partitioned deployment.
+  the paper's Algorithms 1–3.
+* :class:`~repro.core.partitioned.PartitionedOracle` — the §6.3
+  footnote-6 deployment: N ``lastCommit`` shards behind one TSO,
+  batches decided by the cross-partition batch protocol.
 * :class:`~repro.percolator.engine.PercolatorEngine` — group-committed
   prewrite/finalize over the Percolator lock/write columns.
 * :class:`~repro.ssi.engine.SSIEngine` — Cahill SSI with a bulk
@@ -94,11 +97,12 @@ class CommitEngine:
     """Base class / structural contract for commit-protocol engines.
 
     Deliberately *not* an ``abc.ABC``: the serving stack duck-types
-    against this surface (so foreign backends keep working), and the
-    class exists to (a) document the contract, (b) host the shared
-    ``decide_batch`` / ``recover_from`` templates, and (c) give the
-    frontend a positive ``isinstance`` signal that a backend's
-    sequential path writes its own per-decision WAL records.
+    against this surface, and the class exists to document the contract
+    and to host the shared ``decide_batch`` / ``recover_from``
+    templates.  A foreign backend that duck-types the surface must
+    supply ``_decide_batch`` too: it is the frontend's one decision
+    path, and :class:`~repro.server.OracleFrontend` refuses a backend
+    without it with a ``TypeError``.
     """
 
     #: protocol tag ("si" / "wsi" / "ssi" / "percolator" / ...).

@@ -8,11 +8,12 @@ partition."
 :class:`PartitionedOracle` shards the ``lastCommit`` state by row hash
 across N independent conflict-detection partitions while keeping a
 single shared timestamp oracle, so timestamps still form one global
-commit order and snapshot semantics are unchanged.  Rows are placed with
-a process-independent hash (:func:`~repro.core.sharding.stable_hash`,
-pluggable via ``hash_fn=``): every frontend, replica and recovered
-instance must agree on which partition owns a row, which Python's salted
-builtin ``hash()`` cannot guarantee.  Commit handling:
+commit order and snapshot semantics are unchanged.  Rows are placed by a
+process-independent :class:`~repro.core.sharding.ShardingPolicy` (by
+default :func:`~repro.core.sharding.stable_hash` modulo the partition
+count): every frontend, replica and recovered instance must agree on
+which partition owns a row, which Python's salted builtin ``hash()``
+cannot guarantee.  Commit handling:
 
 * a transaction whose footprint touches **one** partition is decided by
   that partition alone — the common case the footnote envisions, and
@@ -27,10 +28,11 @@ builtin ``hash()`` cannot guarantee.  Commit handling:
   outcome is identical to what a single monolithic oracle would decide —
   a property the test suite checks by differential execution.
 
-* a **group-commit batch** (:meth:`PartitionedOracle.decide_batch`)
-  decides the *whole* batch — single-partition and cross-partition
-  requests alike — with one bulk protocol round per involved partition
-  per flush, in three phases:
+* a **group-commit batch** (``decide_batch``, inherited from
+  :class:`~repro.core.engine.CommitEngine`, over
+  :meth:`PartitionedOracle._decide_batch`) decides the *whole* batch —
+  single-partition and cross-partition requests alike — with one bulk
+  protocol round per involved partition per flush, in three phases:
 
   1. **validate** — each involved partition checks all of its shares for
      the batch against its ``lastCommit`` in one round (one RPC per
@@ -76,13 +78,12 @@ mechanism, the narrow interface the MetaSys line of work argues for:
   sleep benchmark E21 injects to model one — then overlaps for real
   wall-clock; the executor choice never changes decisions.
 * **where a row lives** — routing goes through a
-  :class:`~repro.core.sharding.ShardingPolicy` (``sharding=``):
-  :class:`~repro.core.sharding.HashSharding` (the default, identical to
-  the old bare ``hash_fn=`` hook, which still works),
-  :class:`~repro.core.sharding.RangeSharding` (contiguous key bands),
-  or :class:`~repro.core.sharding.DirectorySharding` (explicit group
-  affinity) — the lever that converts cross-partition traffic into
-  aligned traffic instead of merely amortizing it.
+  :class:`~repro.core.sharding.ShardingPolicy` (``sharding=``, the one
+  placement option): :class:`~repro.core.sharding.HashSharding` (the
+  default), :class:`~repro.core.sharding.RangeSharding` (contiguous key
+  bands), or :class:`~repro.core.sharding.DirectorySharding` (explicit
+  group affinity) — the lever that converts cross-partition traffic
+  into aligned traffic instead of merely amortizing it.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ from typing import (
 
 from repro.analysis.racecheck import active_checker, make_lock
 from repro.core.commit_table import CommitTable
+from repro.core.engine import CommitEngine
 from repro.core.errors import OracleClosed
 from repro.core.executor import (
     PartitionExecutor,
@@ -171,26 +173,24 @@ class BatchRounds:
         self.install_wall += other.install_wall
 
 
-class PartitionedOracle:
+class PartitionedOracle(CommitEngine):
     """N conflict-detection partitions behind one timestamp oracle.
 
-    Exposes the same ``begin`` / ``commit`` / ``abort`` surface as
+    A :class:`~repro.core.engine.CommitEngine` with the same ``begin`` /
+    ``commit`` / ``abort`` / ``decide_batch`` surface as
     :class:`~repro.core.status_oracle.StatusOracle`, so the transaction
-    client and the benchmarks can use it interchangeably.
+    client, the frontend and the benchmarks use it interchangeably.  It
+    owns no WAL (``_wal`` stays ``None``): the group-commit frontend
+    supplies durability.
 
     Args:
         level: isolation level, ``"si"`` or ``"wsi"``.
         num_partitions: how many conflict-detection shards.
         timestamp_oracle: the shared TSO (one is created if omitted).
-        hash_fn: row-placement hash; must be deterministic across
-            processes (the default,
-            :func:`~repro.core.sharding.stable_hash`, is).  Kept as the
-            legacy shim — it wraps into
-            :class:`~repro.core.sharding.HashSharding`; prefer
-            ``sharding=`` for anything beyond a custom hash.
-        sharding: a :class:`~repro.core.sharding.ShardingPolicy`
-            (mutually exclusive with ``hash_fn``); defaults to
-            ``HashSharding()``, the seed behaviour.
+        sharding: a :class:`~repro.core.sharding.ShardingPolicy`, which
+            must place rows deterministically across processes; defaults
+            to ``HashSharding()`` (``stable_hash`` modulo the partition
+            count).
         executor: who drives the batch protocol's per-partition rounds —
             ``"serial"`` (default), ``"parallel"``, or a
             :class:`~repro.core.executor.PartitionExecutor` instance.
@@ -205,11 +205,6 @@ class PartitionedOracle:
             overlaps it for real — benchmark E21's lever).  Zero
             (default) keeps rounds free; the per-request ``commit()``
             path never sleeps.
-        batch_cross: ``True`` (default) decides group-commit batches
-            through the cross-partition batch protocol; ``False``
-            restores the pre-protocol engine — cross-partition items
-            break the batch and fall back to per-request two-phase
-            decisions — kept as benchmark E19's baseline.
     """
 
     def __init__(
@@ -217,8 +212,6 @@ class PartitionedOracle:
         level: str = "wsi",
         num_partitions: int = 4,
         timestamp_oracle: Optional[TimestampOracle] = None,
-        hash_fn: Optional[Callable[[RowKey], int]] = None,
-        batch_cross: bool = True,
         sharding: Optional[ShardingPolicy] = None,
         executor: Any = None,
         round_latency: float = 0.0,
@@ -226,8 +219,6 @@ class PartitionedOracle:
     ) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if hash_fn is not None and sharding is not None:
-            raise ValueError("pass hash_fn= or sharding=, not both")
         if round_latency < 0:
             raise ValueError("round_latency must be >= 0")
         if lastcommit is not None and not isinstance(lastcommit, str):
@@ -240,15 +231,11 @@ class PartitionedOracle:
             )
         self.level = level
         self._tso = timestamp_oracle or TimestampOracle()
-        self._sharding = sharding or HashSharding(hash_fn)
-        self._hash = (
-            self._sharding.hash_fn
-            if isinstance(self._sharding, HashSharding)
-            else None
-        )
-        # Routing fast path: hash placement over stable_hash lets the
-        # per-row policy call inline away for small non-negative ints.
-        self._fast_hash = self._hash is stable_hash
+        self._sharding = sharding or HashSharding()
+        # Routing fast path: the default hash placement inlines the
+        # per-row policy call (stable_hash % n, with small non-negative
+        # ints hashing to themselves) in _split / _single_partition_of.
+        self._fast_hash = type(self._sharding) is HashSharding
         self.round_latency = round_latency
         # The executor drives the batch protocol's per-partition rounds;
         # only an executor built *here* is owned (shut down on close).
@@ -303,12 +290,6 @@ class PartitionedOracle:
         #: rounds of the most recent decide_batch call (the frontend
         #: copies this onto its FlushedBatch).
         self.last_flush_rounds: Optional[BatchRounds] = None
-        if not batch_cross:
-            # The pre-protocol batch engine (cross-partition items fall
-            # back to per-request two-phase decisions mid-batch), kept
-            # as benchmark E19's baseline; the instance attribute
-            # shadows the method, so the frontend picks it up.
-            self._decide_batch = self._decide_batch_per_request_cross
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -323,8 +304,8 @@ class PartitionedOracle:
         setdefault = shares.setdefault
         # _split is hot (E18/E19): with the default placement, small
         # non-negative integer rows hash to themselves, so the per-row
-        # hash_fn call is inlined away for them (stable_hash's identity
-        # rule, bound included so cross-type numeric equality holds).
+        # stable_hash call is inlined away for them (its identity rule,
+        # bound included so cross-type numeric equality holds).
         # Shares are lists (the input is a set, so rows are already
         # unique): they are cheaper to build and to scan than sets, and
         # their order — the footprint's iteration order restricted to
@@ -337,10 +318,6 @@ class PartitionedOracle:
                 else:
                     p = stable_hash(row) % num
                 setdefault(p, []).append(row)
-        elif self._hash is not None:
-            h = self._hash
-            for row in rows:
-                setdefault(h(row) % num, []).append(row)
         else:
             p_of = self._sharding.partition_of
             for row in rows:
@@ -394,9 +371,8 @@ class PartitionedOracle:
         num = len(self.partitions)
         if num == 1:
             return 0
-        h = self._hash
-        if h is None:
-            # Non-hash policy: every row through partition_of.
+        if not self._fast_hash:
+            # Non-default policy: every row through partition_of.
             p_of = self._sharding.partition_of
             pid = -1
             for row in request.write_set:
@@ -415,23 +391,22 @@ class PartitionedOracle:
             return pid
         # Same inlined integer fast path as _split: this scan runs for
         # every non-read-only request, batched or not.
-        fast = self._fast_hash
         pid = -1
         for row in request.write_set:
-            if fast and type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
+            if type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
                 p = row % num
             else:
-                p = h(row) % num
+                p = stable_hash(row) % num
             if pid < 0:
                 pid = p
             elif p != pid:
                 return -1
         if self.level == "wsi":
             for row in request.read_set:
-                if fast and type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
+                if type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
                     p = row % num
                 else:
-                    p = h(row) % num
+                    p = stable_hash(row) % num
                 if pid < 0:
                     pid = p
                 elif p != pid:
@@ -446,7 +421,7 @@ class PartitionedOracle:
         start = request.start_ts
         checked = 0
         conflict_row = None
-        for row in self._rows_to_check(request):
+        for row in self.rows_to_check(request):
             checked += 1
             last = lc_get(row)
             if last is not None and last > start:
@@ -485,7 +460,7 @@ class PartitionedOracle:
         visit per partition per request).
         """
         start = request.start_ts
-        check_shares = self._split(self._rows_to_check(request))
+        check_shares = self._split(self.rows_to_check(request))
         # Under SI the checked rows *are* the write set: one split
         # serves both phases.
         write_shares = (
@@ -526,7 +501,7 @@ class PartitionedOracle:
         self.commit_table.record_abort(start_ts)
         self.stats.aborts += 1
 
-    def _rows_to_check(self, request: CommitRequest) -> FrozenSet[RowKey]:
+    def rows_to_check(self, request: CommitRequest) -> FrozenSet[RowKey]:
         if self.level == "si":
             return request.write_set
         return request.read_set
@@ -606,75 +581,12 @@ class PartitionedOracle:
 
         return install_round
 
-    def _shard_decision_round(
-        self, pid: int, group: List[list], reason_tag: str
-    ) -> Callable[[], None]:
-        """Build one shard's decide-and-stage round for the pre-protocol
-        engine (``batch_cross=False``): decide a run of single-partition
-        requests against this shard alone, writing each entry's decision
-        slot in place.  Entries belong to exactly one shard group, so
-        the writes are disjoint across rounds; the coordinator reads
-        them only after the executor joins.  No injected round latency:
-        this engine is benchmark E19's pre-protocol baseline, kept
-        cost-faithful to what it replaced.
-        """
-        partition = self.partitions[pid]
-        lock = self._shard_locks[pid]
-        wsi = self.level == "wsi"
-        rc = active_checker()
-        shard_state = f"shard[{pid}].lastCommit"
-
-        def shard_round() -> None:
-            with lock:
-                if rc is not None:
-                    rc.access(shard_state)
-                lc_get = partition._last_commit.get
-                pending: Set[RowKey] = set()
-                pending_update = pending.update
-                shard_checked = 0
-                for entry in group:
-                    req = entry[1]
-                    start = req.start_ts
-                    conflict_row = None
-                    for row in (req.read_set if wsi else req.write_set):
-                        shard_checked += 1
-                        if row in pending:
-                            conflict_row = row
-                            break
-                        last = lc_get(row)
-                        if last is not None and last > start:
-                            conflict_row = row
-                            break
-                    if conflict_row is not None:
-                        entry[4] = ("abort", reason_tag, conflict_row)
-                    else:
-                        entry[4] = True
-                        pending_update(req.write_set)
-                partition.stats.rows_checked += shard_checked
-
-        return shard_round
-
     # ------------------------------------------------------------------
-    # the batch-decide fast path: one bulk round per partition per flush
+    # the batch-decide fast path: one bulk round per partition per flush.
+    # ``decide_batch`` itself is the template inherited from
+    # :class:`~repro.core.engine.CommitEngine`; with ``_wal`` None it
+    # writes no record (the group-commit frontend supplies durability).
     # ------------------------------------------------------------------
-    def decide_batch(self, requests) -> List[CommitResult]:
-        """Decide a whole batch in one pass; see
-        :meth:`repro.core.status_oracle.StatusOracle.decide_batch` for the
-        contract (the partitioned oracle owns no WAL, so no record is
-        written here — the group-commit frontend supplies durability)."""
-        if self._closed:
-            raise OracleClosed("partitioned oracle is closed")
-        payload_commits: List[Tuple[int, int, Any]] = []
-        payload_aborts: List[int] = []
-        errors: List[Tuple[int, BaseException]] = []
-        results: List[Optional[CommitResult]] = []
-        self._decide_batch(
-            list(requests), payload_commits, payload_aborts, errors, results
-        )
-        if errors:
-            raise errors[0][1]
-        return results
-
     def _decide_batch(self, batch, payload_commits, payload_aborts, errors,
                       results=None):
         """Batch engine: the cross-partition batch protocol.
@@ -1136,258 +1048,6 @@ class PartitionedOracle:
             conflict_aborts + client_aborts,
             sum(checked_by),
             rows_updated,
-        )
-
-    def _decide_batch_per_request_cross(self, batch, payload_commits,
-                                        payload_aborts, errors, results=None):
-        """The pre-protocol batch engine, kept as benchmark E19's baseline.
-
-        This is the engine shape the cross-partition batch protocol
-        replaced (selected via ``batch_cross=False``), preserved — like
-        the frontend's per-request flush is for E18 — to quantify what
-        the protocol removes: the batch is processed as runs of
-        consecutive single-partition (plus read-only and client-abort)
-        items decided with one bulk round per shard, but every
-        **cross-partition** request breaks the run and takes a
-        per-request two-phase decision in place — one share-request
-        construction and one ``_check`` visit per involved partition
-        per request, one ``tso.next()`` and commit-table call per
-        request.  Decisions and final state are identical to the batch
-        protocol's; only the cost differs (plus scan-order detail: a
-        conflicting share is scanned in the share-request's frozenset
-        order here, so the reported conflict row and the rows-examined
-        count may differ from the protocol's footprint-order scan).
-        """
-        if self._closed:
-            raise OracleClosed("partitioned oracle is closed")
-        tso = self._tso
-        if tso._closed:
-            raise OracleClosed("timestamp oracle is closed")
-        # No protocol rounds to report for this engine.
-        self.last_flush_rounds = None
-        ct = self.commit_table
-        partitions = self.partitions
-        wsi = self.level == "wsi"
-        reason_tag = "rw-conflict" if wsi else "ww-conflict"
-        pc_append = payload_commits.append
-        pa_append = payload_aborts.append
-        res_append = results.append if results is not None else None
-        st = self.stats
-        commits = conflict_aborts = client_aborts = ro_commits = 0
-        single_commits = single_aborts = rows_updated = 0
-        # Whole-batch delta of the per-partition rows_checked counters
-        # (covers shard rounds and cross-partition checks alike).
-        checked_at_start = sum(p.stats.rows_checked for p in partitions)
-
-        # One run entry per item: [kind, req, fut, pid, decision].
-        run: List[list] = []
-
-        def flush_run():
-            nonlocal commits, conflict_aborts, client_aborts, ro_commits
-            nonlocal single_commits, single_aborts, rows_updated
-            if not run:
-                return
-            groups: Dict[int, List[list]] = {}
-            for entry in run:
-                if entry[0] == "sp":
-                    groups.setdefault(entry[3], []).append(entry)
-            # One decide-and-stage round closure per shard, dispatched
-            # through the executor like the batch protocol's rounds
-            # (each writes only its own group's decision slots).
-            self._executor.run(
-                [
-                    self._shard_decision_round(pid, group, reason_tag)
-                    for pid, group in groups.items()
-                ]
-            )
-            nxt = tso._next
-            reserved = tso._reserved_until
-            issued = 0
-            try:
-                for kind, req, fut, pid, decision in run:
-                    if kind == "ca":
-                        try:
-                            ct.record_abort(req)
-                        except Exception as exc:
-                            errors.append((req, exc))
-                            if fut is not None:
-                                fut._error = exc
-                            if res_append is not None:
-                                res_append(None)
-                            continue
-                        client_aborts += 1
-                        pa_append(req)
-                        if fut is not None:
-                            fut._reason = CLIENT_ABORT
-                        if res_append is not None:
-                            res_append(
-                                CommitResult(False, req, reason=CLIENT_ABORT)
-                            )
-                        continue
-                    start = req.start_ts
-                    if kind == "ro":
-                        ro_commits += 1
-                        if fut is not None:
-                            fut._committed = True
-                        if res_append is not None:
-                            res_append(
-                                CommitResult(True, start, commit_ts=None)
-                            )
-                        continue
-                    if decision is not True:
-                        _, reason, row = decision
-                        try:
-                            ct.record_abort(start)
-                        except Exception as exc:
-                            errors.append((start, exc))
-                            if fut is not None:
-                                fut._error = exc
-                            if res_append is not None:
-                                res_append(None)
-                            continue
-                        conflict_aborts += 1
-                        single_aborts += 1
-                        pa_append(start)
-                        if fut is not None:
-                            fut._reason = reason
-                            fut._row = row
-                        if res_append is not None:
-                            res_append(
-                                CommitResult(
-                                    False, start,
-                                    reason=reason, conflict_row=row,
-                                )
-                            )
-                        continue
-                    if nxt > reserved:
-                        tso._next = nxt
-                        tso._reserve()
-                        reserved = tso._reserved_until
-                    cts = nxt
-                    nxt += 1
-                    issued += 1
-                    ws = req.write_set
-                    # lint: skip=guarded-by -- coordinator flush after the
-                    # executor join: shard rounds have all completed.
-                    partitions[pid]._last_commit.update(dict.fromkeys(ws, cts))
-                    rows_updated += len(ws)
-                    try:
-                        ct.record_commit(start, cts)
-                    except Exception as exc:
-                        errors.append((start, exc))
-                        if fut is not None:
-                            fut._error = exc
-                        if res_append is not None:
-                            res_append(None)
-                        continue
-                    commits += 1
-                    single_commits += 1
-                    pc_append((start, cts, ws))
-                    if fut is not None:
-                        fut._committed = True
-                        fut._commit_ts = cts
-                    if res_append is not None:
-                        res_append(CommitResult(True, start, commit_ts=cts))
-            finally:
-                tso._next = nxt
-                tso._issued += issued
-            run.clear()
-
-        def commit_cross_per_request(request):
-            # The pre-protocol two-phase decision: one share request and
-            # one _check visit per involved partition, per request.
-            check_shares = self._split(self._rows_to_check(request))
-            write_shares = self._split(request.write_set)
-            involved = set(check_shares) | set(write_shares)
-            for pid in sorted(involved):
-                partition = partitions[pid]
-                share_request = CommitRequest(
-                    request.start_ts,
-                    write_set=frozenset(write_shares.get(pid, ())),
-                    read_set=(
-                        frozenset(check_shares.get(pid, ()))
-                        if wsi
-                        else frozenset()
-                    ),
-                )
-                conflict = partition._check(share_request)
-                if conflict is not None:
-                    reason, row = conflict
-                    st.aborts += 1
-                    st.conflict_aborts += 1
-                    self.cross_partition_aborts += 1
-                    ct.record_abort(request.start_ts)
-                    return CommitResult(
-                        False, request.start_ts,
-                        reason=reason, conflict_row=row,
-                    )
-            commit_ts = tso.next()
-            for pid, rows in write_shares.items():
-                partitions[pid]._install(rows, commit_ts)
-                st.rows_updated += len(rows)
-            ct.record_commit(request.start_ts, commit_ts)
-            st.commits += 1
-            self.cross_partition_commits += 1
-            return CommitResult(True, request.start_ts, commit_ts=commit_ts)
-
-        cross_commits = cross_aborts = cross_rows_updated = 0
-        try:
-            for item in batch:
-                req, fut = item if item.__class__ is tuple else (item, None)
-                if req.__class__ is not CommitRequest:
-                    run.append(["ca", req, fut, -1, None])
-                    continue
-                if not req.write_set:
-                    run.append(["ro", req, fut, -1, None])
-                    continue
-                pid = self._single_partition_of(req)
-                if pid >= 0:
-                    run.append(["sp", req, fut, pid, None])
-                    continue
-                # Cross-partition request: decide in place (two-phase),
-                # after everything queued before it has taken effect.
-                flush_run()
-                try:
-                    result = commit_cross_per_request(req)
-                except Exception as exc:
-                    errors.append((req.start_ts, exc))
-                    if fut is not None:
-                        fut._error = exc
-                    if res_append is not None:
-                        res_append(None)
-                    continue
-                if result.committed:
-                    cross_commits += 1
-                    cross_rows_updated += len(req.write_set)
-                    pc_append((req.start_ts, result.commit_ts, req.write_set))
-                    if fut is not None:
-                        fut._committed = True
-                        fut._commit_ts = result.commit_ts
-                else:
-                    cross_aborts += 1
-                    pa_append(req.start_ts)
-                    if fut is not None:
-                        fut._reason = result.reason
-                        fut._row = result.conflict_row
-                if res_append is not None:
-                    res_append(result)
-            flush_run()
-        finally:
-            st.commits += commits + ro_commits
-            st.read_only_commits += ro_commits
-            st.aborts += conflict_aborts + client_aborts
-            st.conflict_aborts += conflict_aborts
-            st.rows_updated += rows_updated
-            self.single_partition_commits += single_commits
-            self.single_partition_aborts += single_aborts
-        rows_checked = (
-            sum(p.stats.rows_checked for p in partitions) - checked_at_start
-        )
-        return (
-            commits + ro_commits + cross_commits,
-            conflict_aborts + client_aborts + cross_aborts,
-            rows_checked,
-            rows_updated + cross_rows_updated,
         )
 
     # ------------------------------------------------------------------

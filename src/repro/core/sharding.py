@@ -35,13 +35,11 @@ block cache.  Properties:
   whose ``repr`` order is itself salt-dependent, e.g. a frozenset of
   strings, should not be used as row keys).
 
-Callers that need a different placement (locality-aware sharding, a
-keyspace already pre-hashed) pass their own ``hash_fn=`` — or, since the
-pluggable-executor PR, a :class:`ShardingPolicy`:
+Placement itself is a :class:`ShardingPolicy` — the one placement
+option of both consumers (``sharding=``):
 
-* :class:`HashSharding` — ``stable_hash`` (or a custom ``hash_fn``)
-  modulo the partition count: uniform spread, zero locality.  The
-  default, and exactly what the bare ``hash_fn=`` hook always did.
+* :class:`HashSharding` — ``stable_hash`` modulo the partition count:
+  uniform spread, zero locality.  The default.
 * :class:`RangeSharding` — contiguous key bands (HBase's
   consecutive-row regions): integer row ``r`` in a declared keyspace
   lands on partition ``r * N // keyspace``, so co-accessed *nearby*
@@ -65,7 +63,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
-from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Union
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Union
 
 __all__ = [
     "INT_IDENTITY_BOUND",
@@ -152,27 +150,16 @@ class ShardingPolicy:
 
 
 class HashSharding(ShardingPolicy):
-    """``hash_fn(row) % num_partitions`` — uniform, locality-blind.
+    """``stable_hash(row) % num_partitions`` — uniform, locality-blind.
 
-    The default placement, identical to the bare ``hash_fn=`` hook it
-    generalizes: with the default :func:`stable_hash`, integer keyspaces
-    shard exactly like ``row % num_partitions``.
+    The default placement: integer keyspaces shard exactly like
+    ``row % num_partitions``.
     """
 
     name = "hash"
 
-    def __init__(self, hash_fn: Optional[Callable[[Hashable], int]] = None) -> None:
-        self._hash = hash_fn or stable_hash
-
-    @property
-    def hash_fn(self) -> Callable[[Hashable], int]:
-        return self._hash
-
     def partition_of(self, row: Hashable, num_partitions: int) -> int:
-        return self._hash(row) % num_partitions
-
-    def placement_hash(self, row: Hashable) -> int:
-        return self._hash(row)
+        return stable_hash(row) % num_partitions
 
 
 class RangeSharding(ShardingPolicy):

@@ -367,9 +367,9 @@ class StatusOracle(CommitEngine):
         The per-outcome bookkeeping (commit-table error isolation,
         payload/future/result fills) is deliberately inlined in every
         engine — this loop, the array-backed twin below, the bounded
-        override, the partitioned engine, and the frontend's
-        per-request fallback — because a shared helper costs a Python
-        call per decision on the measured hot path (benchmark E18).
+        override and the partitioned engine — because a shared helper
+        costs a Python call per decision on the measured hot path
+        (benchmark E18).
         Change one, change all; the hypothesis equivalence suite pins
         decisions and stats across all of them.
         """

@@ -16,7 +16,7 @@ be serviced from the data already loaded into data servers").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.sharding import ShardingPolicy, stable_hash
 from repro.mvcc.store import MVCCStore
@@ -36,10 +36,9 @@ class BlockCache:
     :func:`~repro.core.sharding.stable_hash` (integer rows map to
     themselves, so consecutive rows share a block — HBase's
     consecutive-row regions — and hit rates are reproducible across
-    processes regardless of ``PYTHONHASHSEED``); pass ``hash_fn=`` for
-    a different placement, or ``sharding=`` to share one
-    :class:`~repro.core.sharding.ShardingPolicy` with the partitioned
-    oracle (the cache derives block ids from the policy's
+    processes regardless of ``PYTHONHASHSEED``); pass ``sharding=`` to
+    share one :class:`~repro.core.sharding.ShardingPolicy` with the
+    partitioned oracle (the cache derives block ids from the policy's
     ``placement_hash``, so e.g. range-sharded deployments keep
     consecutive rows in one block).
     """
@@ -48,19 +47,17 @@ class BlockCache:
         self,
         capacity_blocks: int,
         rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
-        hash_fn: Optional[Callable[[RowKey], int]] = None,
         sharding: Optional[ShardingPolicy] = None,
     ) -> None:
         if capacity_blocks < 0:
             raise ValueError("capacity_blocks must be >= 0")
-        if hash_fn is not None and sharding is not None:
-            raise ValueError("pass hash_fn= or sharding=, not both")
+        if rows_per_block < 1:
+            raise ValueError("rows_per_block must be >= 1")
         self._capacity = capacity_blocks
         self._rows_per_block = rows_per_block
-        if sharding is not None:
-            self._hash = sharding.placement_hash
-        else:
-            self._hash = hash_fn or stable_hash
+        self._hash = (
+            stable_hash if sharding is None else sharding.placement_hash
+        )
         self._blocks: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0

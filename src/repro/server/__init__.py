@@ -41,9 +41,10 @@ Design rules
    timestamp, the final ``lastCommit`` map, the commit table, and the
    ``OracleStats`` counters — is identical to feeding the unbatched
    backend the same requests in batch order.  Every bundled backend
-   (plain SI/WSI, bounded/Tmax, partitioned) supplies a ``decide_batch``
-   engine that owns its policy semantics; the frontend routes whole
-   batches through it.
+   (plain SI/WSI, bounded/Tmax, partitioned, Percolator, SSI) supplies
+   a ``_decide_batch`` engine that owns its policy semantics; the
+   frontend routes every batch through it — there is no second decision
+   path, and a backend without the hook is refused at construction.
 2. **Read-only transactions stay free** (§4.1 condition 3 / §5.1): a
    commit request with an empty write set resolves immediately — no
    conflict check, no commit timestamp, no batch slot — and a batch of
@@ -111,8 +112,11 @@ install via one ``dict.update(dict.fromkeys(...))``, stats are tallied
 in locals and written back once, and the whole batch persists as a
 single pre-assembled group-commit record.  Benchmark E17 measures the
 batching win over the unbatched oracle (>= 3x at batch 32); benchmark
-E18 isolates the in-critical-section win of ``decide_batch`` over the
-per-request flush loop (>= 1.5x at batch 32, typically ~2x).  The
+E18 isolates the in-critical-section win of ``decide_batch`` over one
+``commit()`` call per batch item behind the same frontend (>= 1.5x at
+batch 32, typically ~2x) — that baseline
+(``repro.bench.frontend_bench.sequential_decide``) is installed on the
+backend instance by the benchmark.  The
 partitioned engine additionally decides the whole flush — single- and
 cross-partition requests alike — with one bulk check round and one bulk
 install round per involved partition (the cross-partition batch
@@ -291,7 +295,7 @@ the unserved remainder becomes a gap, never reuse.  Benchmarks E17/E18
 (``benchmarks/test_e17_group_commit.py``, ``test_e18_batch_decide.py``)
 measure the point of it all: the batched frontend sustains multiples of
 the unbatched oracle's wall-clock ops/sec, and the batch-decide engine
-multiplies the per-request flush loop again.
+multiplies a per-item ``commit()`` flush loop again.
 """
 
 from repro.server.frontend import (

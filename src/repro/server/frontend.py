@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.racecheck import active_checker, make_lock
-from repro.core.engine import CommitEngine
 from repro.core.errors import DecisionPending, OracleClosed, Overloaded
-from repro.core.status_oracle import (
+from repro.core.status_oracle import (  # CLIENT_ABORT: re-exported
     CLIENT_ABORT,
     CommitRequest,
     CommitResult,
@@ -106,10 +105,9 @@ class FlushedBatch:
     #: True once some future of this batch registered a done-callback.
     has_callbacks: bool = False
     #: Per-partition protocol rounds this flush cost, when the backend
-    #: is a :class:`~repro.core.partitioned.PartitionedOracle` decided
-    #: through its batch engine (a
+    #: is a :class:`~repro.core.partitioned.PartitionedOracle` (a
     #: :class:`~repro.core.partitioned.BatchRounds`); ``None`` for
-    #: monolithic backends and per-request mode.  In a distributed
+    #: monolithic backends.  In a distributed
     #: deployment each check/install round is one RPC to one partition —
     #: this is the amortization the cross-partition batch protocol buys.
     protocol_rounds: Any = None
@@ -401,7 +399,9 @@ class OracleFrontend:
             :class:`~repro.percolator.engine.PercolatorEngine`, or an
             :class:`~repro.ssi.engine.SSIEngine`.  The frontend touches
             only the engine contract (see :mod:`repro.core.engine`), so
-            foreign backends that duck-type it also work.
+            foreign backends that duck-type it also work — but the
+            batch-decide hook ``_decide_batch`` is required: a backend
+            without it is refused with a ``TypeError`` here.
         max_batch: flush as soon as this many decisions are pending.
         flush_interval: flush a non-empty batch this many (injected-time)
             seconds after it opened — drive via ``clock``+``tick()`` or
@@ -439,21 +439,13 @@ class OracleFrontend:
             (:class:`~repro.server.retry.RetryPolicy`).  ``None`` (the
             default) disables admission control and costs the submit
             path nothing.  Benchmark E22 measures the degradation mode.
-        per_request: force the pre-``decide_batch`` decision path — one
-            ``backend.commit()`` / ``backend.abort()`` call per batch item
-            inside the critical section.  This is the benchmark E18
-            baseline (and the fallback for backends without a
-            ``_decide_batch`` engine).  Best paired with a WAL-less
-            backend plus an explicit ``wal=`` (as E18 does): a backend
-            that owns a WAL appends per-record inside ``commit()``, so the
-            frontend then skips its group record to avoid double logging.
 
-    Backends that implement the batch-decide engine hook
+    Every flush goes through the backend's batch-decide hook
     (:meth:`~repro.core.engine.CommitEngine._decide_batch` — plain
-    SI/WSI, bounded, partitioned, Percolator, SSI) decide the whole
-    batch in one bulk pass with locally-bound state and batched stats
-    accounting; that is where the group-commit speed-ups (benchmarks
-    E17/E18, and E23's per-engine shootout) come from.
+    SI/WSI, bounded, partitioned, Percolator, SSI), bound once here: the
+    whole batch is decided in one bulk pass with locally-bound state and
+    batched stats accounting; that is where the group-commit speed-ups
+    (benchmarks E17/E18, and E23's per-engine shootout) come from.
     """
 
     def __init__(
@@ -465,7 +457,6 @@ class OracleFrontend:
         scheduler: Optional[Callable[[float, Callable[[], None]], None]] = None,
         wal: Optional[BookKeeperWAL] = None,
         begin_lease: int = 1,
-        per_request: bool = False,
         max_queue_depth: Optional[int] = None,
     ) -> None:
         if max_batch < 1:
@@ -476,6 +467,14 @@ class OracleFrontend:
             raise ValueError("begin_lease must be >= 1")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
+        # The backend's batch-decide hook: the one decision path.
+        self._engine = getattr(backend, "_decide_batch", None)
+        if self._engine is None:
+            raise TypeError(
+                f"{type(backend).__name__} has no _decide_batch: the "
+                "frontend decides every flush through the CommitEngine "
+                "batch-decide hook"
+            )
         self._backend = backend
         # Begin-lease state: [_lease_next, _lease_hi] is the unserved
         # remainder of the current lease; empty (next > hi) forces the
@@ -513,20 +512,6 @@ class OracleFrontend:
                 frontend_wal.flush()
 
             tso.attach_wal(_log_reservation)
-        # The backend's batch-decide engine hook (every CommitEngine
-        # supplies one); foreign backends fall back to per-request.
-        self._engine = (
-            None if per_request else getattr(backend, "_decide_batch", None)
-        )
-        self._per_request = self._engine is None
-        # In per-request mode a CommitEngine backend that owns a WAL
-        # already appends one record per decision inside commit(); the
-        # frontend must not also write a group record for the same batch.
-        self._backend_logs_wal = (
-            self._per_request
-            and isinstance(backend, CommitEngine)
-            and getattr(backend, "_wal", None) is not None
-        )
         # §4.1 condition 3: an empty write set commits immediately at
         # submit time — unless the backend runs the E16 naive ablation,
         # in which case only fully-empty footprints take the fast path.
@@ -900,7 +885,6 @@ class OracleFrontend:
         payload_commits: List[Tuple[int, int, Any]] = []
         payload_aborts: List[int] = []
         errors: List[Tuple[int, BaseException]] = []
-        rounds = None
         # A crash anywhere between here and the WAL append must not
         # strand the batch's futures in permanent DecisionPending: the
         # unbatched oracle would have raised at the call site, so the
@@ -909,41 +893,29 @@ class OracleFrontend:
         # their own request — this except is for the engine or the WAL
         # dying, which dooms the whole batch).
         try:
-            if self._per_request:
-                counters = self._process_per_request(
-                    batch, payload_commits, payload_aborts, errors
-                )
-            else:
-                # The backend's batch-decide engine: one bulk pass over
-                # the whole batch (see StatusOracle.decide_batch).
-                # Futures are filled in directly; payloads come back in
-                # decision order.
-                counters = self._engine(
-                    batch, payload_commits, payload_aborts, errors, None
-                )
-                # The partitioned engine reports how many per-partition
-                # protocol rounds the flush cost (BatchRounds);
-                # monolithic engines have no such notion, leaving None.
-                rounds = getattr(self._backend, "last_flush_rounds", None)
-            commits, aborts, rows_checked, rows_updated = counters
+            # The backend's batch-decide engine: one bulk pass over the
+            # whole batch (see CommitEngine.decide_batch).  Futures are
+            # filled in directly; payloads come back in decision order.
+            commits, aborts, rows_checked, rows_updated = self._engine(
+                batch, payload_commits, payload_aborts, errors, None
+            )
+            # The partitioned engine reports how many per-partition
+            # protocol rounds the flush cost (BatchRounds); monolithic
+            # engines have no such notion, leaving None.
+            rounds = getattr(self._backend, "last_flush_rounds", None)
 
             # One group-commit record for the whole batch (§6.3 /
             # Appendix A amortization).  Batches that decided nothing
             # durable — e.g. all requests were read-only — write no
-            # record at all; in per-request mode a WAL-owning backend
-            # already logged each decision itself.  The loop-built
-            # triples still carry the request's frozenset as ``rows``;
-            # group_commit_payload re-tuples them — what outlives the
-            # flush (the log, FlushedBatch) must be invisible to the
-            # cyclic collector, which never untracks a set — and
-            # append_decisions goes through it and owns the size rule.
+            # record at all.  The loop-built triples still carry the
+            # request's frozenset as ``rows``; group_commit_payload
+            # re-tuples them — what outlives the flush (the log,
+            # FlushedBatch) must be invisible to the cyclic collector,
+            # which never untracks a set — and append_decisions goes
+            # through it and owns the size rule.
             wal = self._wal
             wal_written = False
-            if (
-                wal is not None
-                and (payload_commits or payload_aborts)
-                and not self._backend_logs_wal
-            ):
+            if wal is not None and (payload_commits or payload_aborts):
                 payload = wal.append_decisions(payload_commits, payload_aborts)
                 wal_written = True
             else:
@@ -1049,74 +1021,6 @@ class OracleFrontend:
         self.stats.crashed_requests += len(batch)
         self._abandon_batch(cell, exc)
         return len(batch)
-
-    def _process_per_request(self, batch, payload_commits, payload_aborts,
-                             errors):
-        """The pre-``decide_batch`` decision path: one ``backend.commit``
-        / ``backend.abort`` call per batch item inside the critical
-        section.  Kept as the benchmark E18 baseline — it quantifies the
-        per-request interpreter overhead the batch engine removes — and
-        as the fallback for foreign backends without an engine."""
-        backend = self._backend
-        backend_stats = getattr(backend, "stats", None)
-        # The partitioned oracle counts checked rows in its per-partition
-        # stats, not the top-level ones — sum both so every backend kind
-        # reports the same FlushedBatch.rows_checked as its engine mode.
-        partitions = getattr(backend, "partitions", ())
-
-        def rows_checked_now():
-            total = backend_stats.rows_checked if backend_stats is not None else 0
-            for partition in partitions:
-                total += partition.stats.rows_checked
-            return total
-
-        rows_checked_before = rows_checked_now()
-        commits = aborts = rows_updated = 0
-        for item in batch:
-            req, fut = item if item.__class__ is tuple else (item, None)
-            try:
-                if req.__class__ is not CommitRequest:
-                    backend.abort(req)
-                    aborts += 1
-                    payload_aborts.append(req)
-                    if fut is not None:
-                        fut._reason = CLIENT_ABORT
-                    continue
-                result = backend.commit(req)
-            except Exception as exc:
-                start = req if req.__class__ is not CommitRequest else req.start_ts
-                errors.append((start, exc))
-                if fut is not None:
-                    fut._error = exc
-                continue
-            if result.committed:
-                commits += 1
-                if result.commit_ts is not None:
-                    # Read-only commits (commit_ts None) cost no WAL
-                    # payload; only write commits are made durable.
-                    rows_updated += len(req.write_set)
-                    payload_commits.append(
-                        (req.start_ts, result.commit_ts, req.write_set)
-                    )
-                if fut is not None:
-                    fut._committed = True
-                    fut._commit_ts = result.commit_ts
-            else:
-                aborts += 1
-                payload_aborts.append(req.start_ts)
-                if fut is not None:
-                    fut._reason = result.reason
-                    fut._row = result.conflict_row
-            # Futures are left in exactly the state the batch engines
-            # leave them: outcome fields set, ``_result`` built lazily
-            # on first read — so a resolved future is indistinguishable
-            # across decision paths (pinned by tests/server).
-        return (
-            commits,
-            aborts,
-            rows_checked_now() - rows_checked_before,
-            rows_updated,
-        )
 
     # ------------------------------------------------------------------
     # lifecycle

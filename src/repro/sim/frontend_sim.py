@@ -107,19 +107,6 @@ class GroupCommitSim:
         flush_interval: the frontend's time trigger, fired by the engine.
         num_clients / outstanding_per_client: closed-loop population, as
             in the Fig. 5 setup (§6.3).
-        per_request: drive the frontend's per-request decision path
-            instead of the ``decide_batch`` engine (the E18 baseline) —
-            simulated timing is identical (the latency model prices the
-            batch, not the Python loop); this flag exists so queueing
-            studies can pin that both paths decide the same things.
-        begin_lease: the frontend's begin-lease size (benchmark E20's
-            lever).  As with ``per_request``, simulated timing is
-            identical at any lease size — the latency model prices
-            batches and start-timestamp service, not the Python-level
-            begin round-trip the lease removes (E20 measures that on
-            the wall clock); the flag exists so queueing studies can
-            pin that leased and per-call begin paths plumb decisions
-            identically through the engine.
         num_partitions: ``0`` (default) runs the monolithic oracle; a
             positive count runs a
             :class:`~repro.core.partitioned.PartitionedOracle` backend,
@@ -168,8 +155,6 @@ class GroupCommitSim:
         seed: int = 42,
         warmup: float = 0.1,
         measure: float = 0.5,
-        per_request: bool = False,
-        begin_lease: int = 1,
         num_partitions: int = 0,
         executor: str = "serial",
         sharding: Optional[ShardingPolicy] = None,
@@ -231,8 +216,6 @@ class GroupCommitSim:
             self.oracle = make_engine(engine, level=level)
             self.level = self.oracle.level
         self._flush_interval = flush_interval
-        self._per_request = per_request
-        self._begin_lease = begin_lease
         #: Stats of frontends retired by a failover (aggregated into
         #: the result alongside the serving frontend's).
         self._retired_stats: List[FrontendStats] = []
@@ -257,8 +240,6 @@ class GroupCommitSim:
             flush_interval=self._flush_interval,
             clock=lambda: self.engine.now,
             scheduler=self.engine.call_in,
-            per_request=self._per_request,
-            begin_lease=self._begin_lease,
             max_queue_depth=self.max_queue_depth,
         )
         # Bind the owner into the listener: a batch's durability must

@@ -63,7 +63,7 @@ class LatencyModel:
     # Group-commit frontend (repro.server): the batch pays oracle_base
     # once, and each batched request only its residual handling cost —
     # calibrated to the wall-clock ratio benchmark E17 measures.
-    oracle_per_request_batched: float = 1.4 * US
+    oracle_batched_request: float = 1.4 * US
 
     # Partitioned deployment (§6.3 footnote 6): one protocol round —
     # a phase-1 bulk validation or phase-3 bulk install — is one RPC to
@@ -143,7 +143,7 @@ class LatencyModel:
             )
         return (
             self.oracle_base
-            + self.oracle_per_request_batched * requests
+            + self.oracle_batched_request * requests
             + row_cost
         )
 

@@ -179,14 +179,6 @@ class TestBatchProtocolRounds:
         assert oracle.round_stats.check_rounds == 6
         assert oracle.round_stats.cross_requests == 3
 
-    def test_per_request_fallback_reports_no_rounds(self):
-        oracle = PartitionedOracle(
-            level="si", num_partitions=2, batch_cross=False
-        )
-        oracle.decide_batch([req(oracle.begin(), writes={0, 1})])
-        assert oracle.last_flush_rounds is None
-        assert oracle.cross_partition_commits == 1
-
 
 class TestDifferentialEquivalence:
     """The partitioned oracle must decide exactly like a monolithic one."""

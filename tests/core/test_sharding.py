@@ -157,15 +157,6 @@ class TestRoutingIsProcessIndependent:
         )
         assert out.stdout == _routing_fingerprint()
 
-    def test_pluggable_hash_fn(self):
-        oracle = PartitionedOracle(
-            level="si", num_partitions=4, hash_fn=lambda row: 2
-        )
-        for key in FIXED_KEYS:
-            assert oracle.partition_of(key) == 2
-        cache = BlockCache(capacity_blocks=4, hash_fn=lambda row: 128)
-        assert cache.block_of("anything") == 128 // 64
-
 
 class TestShardingPolicies:
     """Placement determinism and semantics of the policy hierarchy
@@ -174,12 +165,12 @@ class TestShardingPolicies:
 
     def test_hash_sharding_matches_bare_hash_fn(self):
         policy = HashSharding()
-        legacy = PartitionedOracle(level="si", num_partitions=5)
+        default = PartitionedOracle(level="si", num_partitions=5)
         with_policy = PartitionedOracle(
             level="si", num_partitions=5, sharding=policy
         )
         for key in FIXED_KEYS:
-            assert with_policy.partition_of(key) == legacy.partition_of(key)
+            assert with_policy.partition_of(key) == default.partition_of(key)
             assert policy.partition_of(key, 5) == stable_hash(key) % 5
 
     def test_range_sharding_contiguous_bands_in_key_order(self):
@@ -305,11 +296,3 @@ class TestShardingPolicies:
             make_sharding("range")
         with pytest.raises(ValueError, match="unknown sharding"):
             make_sharding("consistent-hashing")
-
-    def test_mutually_exclusive_args(self):
-        with pytest.raises(ValueError, match="not both"):
-            PartitionedOracle(
-                hash_fn=lambda r: 0, sharding=HashSharding()
-            )
-        with pytest.raises(ValueError, match="not both"):
-            BlockCache(4, hash_fn=lambda r: 0, sharding=HashSharding())

@@ -45,6 +45,11 @@ class TestMakeEngine:
         engine = make_engine(kind)
         assert isinstance(engine, CommitEngine)
 
+    def test_partitioned_oracle_is_a_commit_engine(self):
+        from repro.core.partitioned import PartitionedOracle
+
+        assert isinstance(PartitionedOracle(), CommitEngine)
+
     def test_levels(self):
         assert make_engine("oracle").level == "wsi"
         assert make_engine("si").level == "si"

@@ -118,6 +118,13 @@ class TestBlockCache:
         assert not cache.touch(0)
         assert cache.touch(1)  # same 64-row block
 
+    @pytest.mark.parametrize("rows_per_block", [0, -64])
+    def test_rows_per_block_below_one_rejected(self, rows_per_block):
+        # 0 would divide by zero on every touch; a negative size would
+        # hand out negative block ids (row 5 -> block -1 at -64).
+        with pytest.raises(ValueError, match="rows_per_block"):
+            BlockCache(capacity_blocks=4, rows_per_block=rows_per_block)
+
 
 class TestTransactionsOverCluster:
     """The cluster satisfies StorageBackend: run real transactions on it."""

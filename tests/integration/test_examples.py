@@ -68,6 +68,14 @@ class TestExamplesRun:
         assert "conflict state survived the failover" in out
         assert "total failovers: 2" in out
 
+    def test_ha_serving(self, capsys):
+        # The one example that builds OracleFrontend through
+        # ReplicatedFrontend (every host's frontend over its engine).
+        run_example("ha_serving.py")
+        out = capsys.readouterr().out
+        assert "all committed" in out
+        assert "no timestamp reused, no request stranded, queue bounded." in out
+
     def test_ycsb_cluster_single_point(self, capsys):
         # import the example as a module and drive one cheap data point
         # instead of its full main() (which runs three distributions).

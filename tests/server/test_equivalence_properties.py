@@ -294,11 +294,20 @@ def assert_same_partitioned_state(oracle, reference):
     batches=decision_batches(),
     num_partitions=st.integers(min_value=1, max_value=4),
     level=st.sampled_from(["si", "wsi"]),
+    lastcommit=st.sampled_from(["dict", "array"]),
 )
 @settings(max_examples=100, deadline=None)
-def test_decide_batch_partitioned_equivalence(batches, num_partitions, level):
-    oracle = PartitionedOracle(level=level, num_partitions=num_partitions)
-    reference = PartitionedOracle(level=level, num_partitions=num_partitions)
+def test_decide_batch_partitioned_equivalence(
+    batches, num_partitions, level, lastcommit
+):
+    # The batch protocol over either lastCommit store ≡ the sequential
+    # path over the dict store.
+    oracle = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit=lastcommit
+    )
+    reference = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit="dict"
+    )
     assert run_batched(oracle, batches) == run_sequential(reference, batches)
     assert_same_partitioned_state(oracle, reference)
 
@@ -371,13 +380,18 @@ def test_decide_batch_mixed_footprints_plain_and_bounded(batches, level, bounded
     batches=mixed_partition_batches(),
     num_partitions=st.sampled_from([1, 2, PARTS, 5]),
     level=st.sampled_from(["si", "wsi"]),
+    lastcommit=st.sampled_from(["dict", "array"]),
 )
 @settings(max_examples=120, deadline=None)
 def test_decide_batch_mixed_footprints_partitioned(
-    batches, num_partitions, level
+    batches, num_partitions, level, lastcommit
 ):
-    oracle = PartitionedOracle(level=level, num_partitions=num_partitions)
-    reference = PartitionedOracle(level=level, num_partitions=num_partitions)
+    oracle = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit=lastcommit
+    )
+    reference = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit="dict"
+    )
     assert run_batched(oracle, batches) == run_sequential(reference, batches)
     assert_same_partitioned_state(oracle, reference)
 
@@ -386,59 +400,25 @@ def test_decide_batch_mixed_footprints_partitioned(
     batches=mixed_partition_batches(),
     num_partitions=st.sampled_from([2, PARTS]),
     level=st.sampled_from(["si", "wsi"]),
-)
-@settings(max_examples=60, deadline=None)
-def test_decide_batch_cross_protocol_equals_per_request_fallback(
-    batches, num_partitions, level
-):
-    # The preserved pre-protocol engine (benchmark E19's baseline) and
-    # the batch protocol must agree on every decision and on the final
-    # state.  The reported conflict *row* and the per-partition
-    # rows-examined counts may legitimately differ: the fallback scans a
-    # conflicting share in its share-request's frozenset order, the
-    # protocol in footprint order, and a conflict stops either scan
-    # early — which row stops it is scan-order detail, not decision.
-    oracle = PartitionedOracle(level=level, num_partitions=num_partitions)
-    fallback = PartitionedOracle(
-        level=level, num_partitions=num_partitions, batch_cross=False
-    )
-    decisions = [
-        (r.committed, r.start_ts, r.commit_ts, r.reason)
-        for r in run_batched(oracle, batches)
-    ]
-    fallback_decisions = [
-        (r.committed, r.start_ts, r.commit_ts, r.reason)
-        for r in run_batched(fallback, batches)
-    ]
-    assert decisions == fallback_decisions
-    for partition, fb_partition in zip(oracle.partitions, fallback.partitions):
-        assert partition._last_commit == fb_partition._last_commit
-    assert oracle.commit_table._commits == fallback.commit_table._commits
-    assert oracle.commit_table._aborted == fallback.commit_table._aborted
-    assert oracle.stats == fallback.stats
-    assert oracle.cross_partition_commits == fallback.cross_partition_commits
-    assert oracle.cross_partition_aborts == fallback.cross_partition_aborts
-    assert oracle.single_partition_commits == fallback.single_partition_commits
-    assert oracle.single_partition_aborts == fallback.single_partition_aborts
-
-
-@given(
-    batches=mixed_partition_batches(),
-    num_partitions=st.sampled_from([2, PARTS]),
-    level=st.sampled_from(["si", "wsi"]),
     bad_positions=st.sets(st.integers(min_value=0, max_value=9), max_size=2),
+    lastcommit=st.sampled_from(["dict", "array"]),
 )
 @settings(max_examples=80, deadline=None)
 def test_decide_batch_mid_batch_errors_isolated(
-    batches, num_partitions, level, bad_positions
+    batches, num_partitions, level, bad_positions, lastcommit
 ):
     # Commit-table protocol errors (aborting an already-committed
     # transaction) mid-batch must be isolated to the offending request:
     # the rest of the batch decides exactly as if the bad item were
     # skipped, and the first error re-raises afterwards — for the batch
-    # protocol and the sequential path alike.
-    oracle = PartitionedOracle(level=level, num_partitions=num_partitions)
-    reference = PartitionedOracle(level=level, num_partitions=num_partitions)
+    # protocol (either lastCommit store) against the sequential path
+    # over the dict store.
+    oracle = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit=lastcommit
+    )
+    reference = PartitionedOracle(
+        level=level, num_partitions=num_partitions, lastcommit="dict"
+    )
 
     # Pre-commit one transaction on both oracles; aborting it later is
     # the protocol error injected mid-batch.

@@ -8,7 +8,8 @@ the property suite in test_equivalence_properties.py.
 import pytest
 
 from repro.core.errors import DecisionPending, InvalidTransactionState, OracleClosed
-from repro.core.status_oracle import CommitRequest, make_oracle
+from repro.core.partitioned import PartitionedOracle
+from repro.core.status_oracle import CommitRequest, CommitResult, make_oracle
 from repro.server import CLIENT_ABORT, OracleFrontend
 from repro.wal.bookkeeper import (
     GROUP_COMMIT_RECORD,
@@ -25,6 +26,58 @@ def make_frontend(level="wsi", **kwargs):
     wal = BookKeeperWAL()
     oracle = make_oracle(level, wal=wal)
     return OracleFrontend(oracle, **kwargs), oracle, wal
+
+
+def make_backend(level="wsi", partitioned=False):
+    if partitioned:
+        return PartitionedOracle(level=level, num_partitions=4)
+    return make_oracle(level)
+
+
+class SequentialTwin:
+    """The reference a frontend-settled future is held to: a twin
+    backend behind the frontend's begin / submit / flush surface that
+    decides each flush with one ``commit()`` / ``abort()`` per item, in
+    submission order.  A submission returns a one-slot list the flush
+    fills with the ``CommitResult`` (or the error the call raised)."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self._queue = []
+
+    def begin(self):
+        return self.backend.begin()
+
+    def submit_commit(self, request):
+        self._queue.append((request, []))
+        return self._queue[-1][1]
+
+    def submit_abort(self, start_ts):
+        self._queue.append((start_ts, []))
+        return self._queue[-1][1]
+
+    def flush(self):
+        for item, slot in self._queue:
+            try:
+                if isinstance(item, int):
+                    self.backend.abort(item)
+                    slot.append(CommitResult(False, item, reason=CLIENT_ABORT))
+                else:
+                    slot.append(self.backend.commit(item))
+            except ValueError as exc:
+                slot.append(exc)
+        self._queue = []
+
+
+def assert_settled_as(future, slot):
+    """``future`` settled exactly as its twin's sequential call did."""
+    (expected,) = slot
+    if isinstance(expected, Exception):
+        assert future.outcome() == "error"
+        assert type(future.error) is type(expected)
+        assert str(future.error) == str(expected)
+    else:
+        assert future.result() == expected
 
 
 def decision_records(wal):
@@ -326,9 +379,24 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             OracleFrontend(oracle, flush_interval=0)
 
-    def test_explicit_wal_for_walless_backend(self):
-        from repro.core.partitioned import PartitionedOracle
+    def test_backend_without_batch_hook_is_refused(self):
+        # One decision path: a backend that cannot decide a batch is
+        # rejected up front, naming the hook.
+        class CommitOnlyBackend:
+            def __init__(self):
+                self.backing = make_oracle("wsi")
+                self.stats = self.backing.stats
 
+            def begin(self):
+                return self.backing.begin()
+
+            def commit(self, request):
+                return self.backing.commit(request)
+
+        with pytest.raises(TypeError, match="_decide_batch"):
+            OracleFrontend(CommitOnlyBackend(), wal=BookKeeperWAL())
+
+    def test_explicit_wal_for_walless_backend(self):
         wal = BookKeeperWAL()
         oracle = PartitionedOracle(level="wsi", num_partitions=2)
         frontend = OracleFrontend(oracle, max_batch=4, wal=wal)
@@ -441,6 +509,9 @@ class TestBeginLease:
             def abort(self, start_ts):
                 self.backing.abort(start_ts)
 
+            def _decide_batch(self, *args):
+                return self.backing._decide_batch(*args)
+
         frontend = OracleFrontend(
             ForeignOracle(), wal=BookKeeperWAL(), begin_lease=8
         )
@@ -452,7 +523,8 @@ class TestBeginLease:
 class TestCommitFutureOutcome:
     """The public outcome surface (``outcome()``): what the session tally
     reads instead of future internals — pinned against the private
-    fields across decision paths."""
+    fields and against the sequential twin, for the monolithic and the
+    partitioned decide loop."""
 
     def test_pending_outcome_raises(self):
         frontend, _, _ = make_frontend(max_batch=10)
@@ -482,26 +554,34 @@ class TestCommitFutureOutcome:
         assert bad.outcome() == "error"  # committed/result() would raise
         assert isinstance(bad.error, ValueError)
 
-    @pytest.mark.parametrize("per_request", [False, True])
-    def test_outcome_matches_private_state_across_paths(self, per_request):
-        oracle = make_oracle("wsi")
-        frontend = OracleFrontend(
-            oracle, max_batch=100, wal=BookKeeperWAL(), per_request=per_request
-        )
-        futures = {
-            "ro": frontend.submit_commit(req(frontend.begin())),
-        }
-        stale = frontend.begin()
-        futures["commit"] = frontend.submit_commit(
-            req(frontend.begin(), writes={"x"})
-        )
-        futures["conflict"] = frontend.submit_commit(
+    @staticmethod
+    def _mixed_traffic(target):
+        """One of each outcome through a frontend or its sequential
+        twin; returns the per-outcome handles."""
+        handles = {"ro": target.submit_commit(req(target.begin()))}
+        stale = target.begin()
+        writer = target.begin()
+        handles["commit"] = target.submit_commit(req(writer, writes={"x"}))
+        handles["conflict"] = target.submit_commit(
             req(stale, writes={"y"}, reads={"x"})
         )
-        futures["client"] = frontend.submit_abort(frontend.begin())
-        frontend.flush()
-        futures["error"] = frontend.submit_abort(futures["commit"].start_ts)
-        frontend.flush()
+        handles["client"] = target.submit_abort(target.begin())
+        target.flush()
+        handles["error"] = target.submit_abort(writer)
+        target.flush()
+        return handles
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_outcome_matches_private_state_across_paths(self, partitioned):
+        frontend = OracleFrontend(
+            make_backend(partitioned=partitioned),
+            max_batch=100,
+            wal=BookKeeperWAL(),
+        )
+        futures = self._mixed_traffic(frontend)
+        twin = self._mixed_traffic(
+            SequentialTwin(make_backend(partitioned=partitioned))
+        )
         expected = {
             "ro": "read-only",
             "commit": "committed",
@@ -521,6 +601,8 @@ class TestCommitFutureOutcome:
                 assert (future._commit_ts is None) == (
                     expected[name] == "read-only"
                 )
+            # and the decision is the sequential commit()/abort() one
+            assert_settled_as(future, twin[name])
 
 
 class TestSessionSubmitFailure:
@@ -635,13 +717,15 @@ class TestClientSession:
         frontend.flush()
         assert session.commits == 5 and session.open_count == 0
 
-    @pytest.mark.parametrize("per_request", [False, True])
-    def test_session_tally_parity_across_decision_paths(self, per_request):
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_session_tally_parity_across_decision_paths(self, partitioned):
         """The tally reads ``outcome()``, so it must classify the same
-        mixed traffic identically whichever engine decided it."""
-        oracle = make_oracle("wsi")
+        mixed traffic exactly as the sequential ``commit()`` results of
+        a twin backend — monolithic or partitioned decide loop alike."""
         frontend = OracleFrontend(
-            oracle, max_batch=100, wal=BookKeeperWAL(), per_request=per_request
+            make_backend(partitioned=partitioned),
+            max_batch=100,
+            wal=BookKeeperWAL(),
         )
         session = frontend.session()
         session.begin()
@@ -659,75 +743,69 @@ class TestClientSession:
             session.aborts,
             session.errors,
         )
-        assert tally == (2, 1, 2, 0)
+
+        twin = SequentialTwin(make_backend(partitioned=partitioned))
+        slots = [twin.submit_commit(req(twin.begin()))]
+        stale, writer = twin.begin(), twin.begin()
+        slots.append(twin.submit_commit(req(writer, writes={"x"})))
+        slots.append(twin.submit_commit(req(stale, writes={"y"}, reads={"x"})))
+        slots.append(twin.submit_abort(twin.begin()))
+        twin.flush()
+        results = [result for (result,) in slots]
+        expected = (
+            sum(r.committed for r in results),
+            sum(r.committed and r.commit_ts is None for r in results),
+            sum(not r.committed for r in results),
+            0,
+        )
+        assert tally == expected == (2, 1, 2, 0)
 
 
 class TestFutureStateParity:
-    """A resolved future must be indistinguishable across decision paths
-    (batch engines, the per-request fallback path, single- and
-    cross-partition branches of the partitioned engine)."""
+    """A resolved future must settle exactly as the sequential
+    ``commit()`` / ``abort()`` calls of a twin backend decide — for the
+    monolithic decide loops and for both the single- and
+    cross-partition branches of the partitioned engine."""
 
-    FUTURE_SLOTS = (
-        "_done", "_committed", "_commit_ts", "_reason", "_row", "_error"
-    )
-
-    def _snapshot(self, future):
-        # _result is built lazily on first read in every path; force it
-        # so the comparison covers the full resolved surface.
-        result = future.result() if future._error is None else None
-        return (
-            tuple(getattr(future, slot) for slot in self.FUTURE_SLOTS),
-            result,
-        )
-
-    def _drive(self, frontend):
+    def _drive(self, target):
         """One commit, one conflict abort, one cross-partition commit,
-        one client abort — resolved futures returned in that order."""
-        t1 = frontend.begin()
-        stale = frontend.begin()
-        f_commit = frontend.submit_commit(req(t1, writes={0, 1, 2, 3}))
-        frontend.flush()
-        f_conflict = frontend.submit_commit(
+        one client abort — through a frontend or its sequential twin;
+        handles returned in that order."""
+        t1 = target.begin()
+        stale = target.begin()
+        f_commit = target.submit_commit(req(t1, writes={0, 1, 2, 3}))
+        target.flush()
+        f_conflict = target.submit_commit(
             req(stale, writes={0}, reads={0})
         )
-        t3 = frontend.begin()
-        f_cross = frontend.submit_commit(req(t3, writes={4, 5, 6, 7}))
-        t4 = frontend.begin()
-        f_client = frontend.submit_abort(t4)
-        frontend.flush()
+        t3 = target.begin()
+        f_cross = target.submit_commit(req(t3, writes={4, 5, 6, 7}))
+        t4 = target.begin()
+        f_client = target.submit_abort(t4)
+        target.flush()
         return [f_commit, f_conflict, f_cross, f_client]
 
-    def test_partitioned_engine_vs_per_request_mode(self):
-        from repro.core.partitioned import PartitionedOracle
+    def _assert_matches_twin(self, level, partitioned):
+        frontend = OracleFrontend(
+            make_backend(level, partitioned), max_batch=32, wal=BookKeeperWAL()
+        )
+        futures = self._drive(frontend)
+        slots = self._drive(SequentialTwin(make_backend(level, partitioned)))
+        for future, slot in zip(futures, slots):
+            # Settled by its batch's flush, outcome fields set, the
+            # CommitResult built lazily on first read.
+            assert future.done and not future._done
+            assert future._result is None
+            assert_settled_as(future, slot)
 
-        snapshots = []
-        for per_request in (False, True):
-            oracle = PartitionedOracle(level="wsi", num_partitions=4)
-            frontend = OracleFrontend(
-                oracle, max_batch=32, wal=BookKeeperWAL(),
-                per_request=per_request,
-            )
-            futures = self._drive(frontend)
-            snapshots.append([self._snapshot(f) for f in futures])
-        engine_state, per_request_state = snapshots
-        assert engine_state == per_request_state
+    def test_partitioned_engine_vs_per_request_mode(self):
+        self._assert_matches_twin("wsi", partitioned=True)
 
     @pytest.mark.parametrize("level", ["si", "wsi"])
     def test_monolithic_engine_vs_per_request_mode(self, level):
-        snapshots = []
-        for per_request in (False, True):
-            oracle = make_oracle(level)
-            frontend = OracleFrontend(
-                oracle, max_batch=32, wal=BookKeeperWAL(),
-                per_request=per_request,
-            )
-            futures = self._drive(frontend)
-            snapshots.append([self._snapshot(f) for f in futures])
-        assert snapshots[0] == snapshots[1]
+        self._assert_matches_twin(level, partitioned=False)
 
     def test_single_and_cross_commit_futures_identical_shape(self):
-        from repro.core.partitioned import PartitionedOracle
-
         oracle = PartitionedOracle(level="wsi", num_partitions=4)
         frontend = OracleFrontend(oracle, max_batch=32, wal=BookKeeperWAL())
         t1, t2 = frontend.begin(), frontend.begin()
@@ -747,8 +825,6 @@ class TestFutureStateParity:
 
 class TestProtocolRounds:
     def test_partitioned_flush_reports_rounds(self):
-        from repro.core.partitioned import PartitionedOracle
-
         oracle = PartitionedOracle(level="wsi", num_partitions=4)
         frontend = OracleFrontend(oracle, max_batch=8, wal=BookKeeperWAL())
         cells = []
@@ -780,19 +856,6 @@ class TestProtocolRounds:
         frontend.flush()
         assert cells[0].protocol_rounds is None
         assert frontend.stats.partition_check_rounds == 0
-
-    def test_per_request_mode_reports_none(self):
-        from repro.core.partitioned import PartitionedOracle
-
-        oracle = PartitionedOracle(level="wsi", num_partitions=2)
-        frontend = OracleFrontend(
-            oracle, max_batch=8, wal=BookKeeperWAL(), per_request=True
-        )
-        cells = []
-        frontend.on_flush(cells.append)
-        frontend.submit_commit(req(frontend.begin(), writes={0, 1}))
-        frontend.flush()
-        assert cells[0].protocol_rounds is None
 
 
 class TestFutureArena:
