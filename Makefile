@@ -42,9 +42,7 @@ bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_SNAPSHOT=BENCH_smoke.json $(PYTEST) \
 		benchmarks/test_e17_group_commit.py::test_e17_group_commit_speedup \
 		benchmarks/test_e18_batch_decide.py::test_e18_batch_decide_speedup \
-		benchmarks/test_e19_cross_partition_batch.py::test_e19_cross_partition_batch_speedup \
 		benchmarks/test_e20_begin_lease.py::test_e20_begin_lease_speedup \
-		benchmarks/test_e21_parallel_partitions.py::test_e21_parallel_executor_speedup \
 		benchmarks/test_e22_failover.py \
 		benchmarks/test_e23_engine_shootout.py \
 		benchmarks/test_e24_array_lastcommit.py::test_e24_array_backend_speedup \
@@ -54,11 +52,7 @@ bench-smoke:
 ## The fast suite twice under two different hash salts: routing (shard
 ## and block placement) must be identical regardless of PYTHONHASHSEED,
 ## so any decision or stat that silently depended on builtin str/bytes
-## hashing fails one of the two runs.  Then the same two salted runs
-## again with REPRO_EXECUTOR=parallel, which makes every partitioned
-## oracle built without an explicit executor= fan its protocol rounds
-## over a thread pool — the threaded path must stay green under both
-## salts (executor choice is performance policy, never semantics).
+## hashing fails one of the two runs.
 ## The begin/recover no-reuse pins and the HA failover pins (warm
 ## takeover, crash-mid-batch retry, no timestamp reuse across leaders)
 ## ride in every salted run; the explicit last pair keeps them covered
@@ -80,8 +74,6 @@ check:
 	PYTHONHASHSEED=0 $(PYTEST) -m "not slow" -q
 	PYTHONHASHSEED=31337 $(PYTEST) -m "not slow" -q
 	REPRO_LASTCOMMIT=array PYTHONHASHSEED=0 $(PYTEST) -m "not slow" -q
-	REPRO_EXECUTOR=parallel PYTHONHASHSEED=0 $(PYTEST) -m "not slow" -q
-	REPRO_EXECUTOR=parallel PYTHONHASHSEED=31337 $(PYTEST) -m "not slow" -q
 	REPRO_ENGINE=percolator PYTHONHASHSEED=0 $(PYTEST) -m "not slow" -q \
 		tests/engines tests/server tests/sim tests/coord
 	REPRO_ENGINE=ssi PYTHONHASHSEED=0 $(PYTEST) -m "not slow" -q \

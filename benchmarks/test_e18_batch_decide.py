@@ -22,12 +22,10 @@ frontend's throughput at batch size 32 (WSI, uniform complex workload,
 median of paired runs — E17's protocol).
 
 A second table sweeps batch size x partition count through
-``PartitionedOracle.decide_batch`` (one bulk check/install round per
-shard per flush).  On the uniform workload most multi-row transactions
-are cross-partition (hash sharding scatters rows), so the bulk path can
-only match the two-phase per-request cost there; the partition-aligned
-workload (zero cross traffic — the co-located-schema deployment the
-§6.3 footnote envisions) is where the per-shard grouping wins.
+``PartitionedOracle.decide_batch`` (one ``commit()`` call per request;
+on the uniform workload most multi-row transactions are cross-partition,
+because hash sharding scatters rows) and pins that partitioning never
+changes what is decided.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` target) for a
 tiny-sized sanity run with correspondingly relaxed bars.
@@ -41,7 +39,6 @@ from repro.bench import format_table
 from repro.bench.snapshot import record
 from repro.bench.frontend_bench import (
     bench_batched,
-    bench_partition_aligned,
     make_specs,
     median_speedup,
     paired_decide_speedups,
@@ -164,39 +161,3 @@ def test_e18_batch_partition_sweep(print_header):
     for r in results[1:]:
         assert r.commits == baseline.commits
         assert r.aborts == baseline.aborts
-
-
-@pytest.mark.figure("e18")
-def test_e18_partition_aligned_workload(print_header):
-    """The per-shard bulk round pays off when transactions are
-    partition-aligned (zero cross traffic): decide_batch must at least
-    match — and typically beat — the per-request partitioned flush."""
-    print_header("E18d — partition-aligned workload, 4 partitions")
-    specs = make_specs(NUM_REQUESTS // 2)
-    per_request = bench_partition_aligned(
-        "wsi", specs, partitions=4, per_request=True, repeats=REPEATS
-    )
-    decided = bench_partition_aligned(
-        "wsi", specs, partitions=4, repeats=REPEATS
-    )
-    ratio = decided.ops_per_sec / per_request.ops_per_sec
-    print(
-        format_table(
-            ["mode", "ops/s", "us/op", "commits", "aborts"],
-            [
-                (
-                    r.mode,
-                    f"{r.ops_per_sec:,.0f}",
-                    f"{r.us_per_op:.2f}",
-                    r.commits,
-                    r.aborts,
-                )
-                for r in (per_request, decided)
-            ],
-        )
-    )
-    print(f"  aligned decide_batch speedup: {ratio:.2f}x")
-    assert decided.commits == per_request.commits
-    assert decided.aborts == per_request.aborts
-    # Parity bar (noise-tolerant); the typical win is ~1.1x.
-    assert ratio >= 0.9

@@ -8,13 +8,12 @@ of Figures 6-10 (the full sweeps live in benchmarks/).
 
 A second section scales the oracle out (§6.3 footnote 6): the standard
 YCSB workload A through a group-commit frontend over the partitioned
-oracle, with the row-placement policy and the protocol-round executor
-chosen on the command line — the two levers of the pluggable-executor
-PR (benchmark E21 measures their bars).
+oracle, with the row-placement policy chosen on the command line
+(benchmark E21c measures its bar).
 
 Run:  python examples/ycsb_cluster.py            # quick (~30 s)
       python examples/ycsb_cluster.py --full     # the paper's client sweep
-      python examples/ycsb_cluster.py --sharding directory --executor parallel
+      python examples/ycsb_cluster.py --sharding directory
 """
 
 import argparse
@@ -72,12 +71,12 @@ def run(distribution: str, clients, measure: float):
     )
 
 
-def run_partitioned(sharding_name: str, executor_name: str) -> None:
+def run_partitioned(sharding_name: str) -> None:
     """YCSB A, group-local, through the partitioned frontend with the
-    chosen placement policy and round executor (wall clock)."""
+    chosen placement policy (wall clock)."""
     print(
         f"\n=== partitioned oracle: sharding={sharding_name}, "
-        f"executor={executor_name}, {PARTITIONS} partitions ==="
+        f"{PARTITIONS} partitions ==="
     )
     workload = ycsb(
         "A", keyspace=KEYSPACE, max_rows=8, seed=7, num_groups=GROUPS
@@ -92,7 +91,6 @@ def run_partitioned(sharding_name: str, executor_name: str) -> None:
         level="wsi",
         num_partitions=PARTITIONS,
         sharding=policy,
-        executor=executor_name,
     )
     frontend = OracleFrontend(oracle, max_batch=32, wal=BookKeeperWAL())
     requests = [
@@ -104,35 +102,26 @@ def run_partitioned(sharding_name: str, executor_name: str) -> None:
         frontend.submit_commit_nowait(request)
     frontend.flush()
     dt = time.perf_counter() - t0
-    stats = frontend.stats
     print(
         format_table(
-            ["ops/s", "commits", "aborts", "cross frac",
-             "check rounds/flush", "max rounds/part", "validate ms",
-             "install ms"],
+            ["ops/s", "commits", "aborts", "cross frac", "batches"],
             [(
                 f"{NUM_TXNS / dt:,.0f}",
                 oracle.stats.commits,
                 oracle.stats.aborts,
                 f"{100 * oracle.cross_partition_fraction():.1f}%",
-                f"{stats.partition_check_rounds / max(stats.batches, 1):.2f}",
-                stats.max_partition_rounds_seen,
-                f"{1000 * stats.partition_validate_seconds:.1f}",
-                f"{1000 * stats.partition_install_seconds:.1f}",
+                frontend.stats.batches,
             )],
             title=f"YCSB A, group-local ({GROUPS} groups), batch 32",
         )
     )
-    # close() joins an owned parallel executor's worker threads.
     frontend.close()
     print(
         "\nPlacement is the locality lever: hash sharding scatters each"
         "\ngroup's rows over every partition (high cross fraction), while"
         "\nrange/directory sharding keeps each key group on one partition"
-        "\n(cross fraction ~0).  The executor is the overlap lever: serial"
-        "\ndrives each partition's round in turn, parallel overlaps rounds"
-        "\n— which pays off once rounds carry real (GIL-releasing) RPC"
-        "\nlatency; see benchmark E21."
+        "\n(cross fraction ~0), so its transactions take the"
+        "\nsingle-partition fast path instead of the two-phase decision."
     )
 
 
@@ -146,12 +135,6 @@ def main() -> None:
         choices=["hash", "range", "directory"],
         default="hash",
         help="row-placement policy for the partitioned-oracle section",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "parallel"],
-        default="serial",
-        help="protocol-round executor for the partitioned-oracle section",
     )
     parser.add_argument(
         "--skip-cluster",
@@ -170,7 +153,7 @@ def main() -> None:
             "\nzipfianLatest read sets drawn from fresh writes cost WSI a slightly"
             "\nhigher abort rate — the price of serializability."
         )
-    run_partitioned(args.sharding, args.executor)
+    run_partitioned(args.sharding)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Two halves:
   tree (first leg of ``make check``, and CI).
 * :mod:`repro.analysis.racecheck` — an opt-in (``REPRO_RACECHECK=1``)
   dynamic lock-order/race detector wrapping the real locks in the
-  partitioned oracle, the frontend, and the WAL.
+  frontend and the WAL.
 
 Invariants
 ==========
@@ -40,10 +40,10 @@ pinned; the linter turns the pin into a standing rule:
 
 ``guarded-by``
     Hot shared state declared with ``# guarded-by: <lock>`` (the
-    per-shard ``_last_commit`` dicts, the frontend ``_pending`` batch,
-    the WAL buffer) mutates only under its owning lock.  Descends from
-    PR 5 (``ParallelExecutor`` made the shard rounds genuinely
-    concurrent).  Coordinator-only serial paths carry reviewed skips.
+    frontend ``_pending`` batch, the WAL buffer) mutates only under its
+    owning lock.  Descends from PR 5 (a thread-pool partition executor,
+    since removed, made per-shard rounds genuinely concurrent).
+    Single-writer paths carry reviewed skips.
 
 ``future-discipline``
     ``CommitFuture``/``HAFuture`` settle only through the blessed
@@ -70,12 +70,13 @@ pinned; the linter turns the pin into a standing rule:
     tools may pause or force the collector around what they measure.
 
 The dynamic half (``racecheck``) covers what static scoping cannot: it
-records per-thread lock acquisition *edges* across the per-shard,
-frontend, and WAL locks, fails on lock-order cycles (potential
-deadlock even if the bad interleaving never fired), and flags any
-registered shared-state access performed with no lock held.  The
-``tests/analysis/`` stress test drives a ``ParallelExecutor``
-partitioned oracle through an HA failover under the checker.
+records per-thread lock acquisition *edges* across the frontend flush
+and WAL buffer locks, fails on lock-order cycles (potential deadlock
+even if the bad interleaving never fired), and flags any registered
+shared-state access performed with no lock held.  The
+``tests/analysis/`` stress test drives concurrent session threads
+through a frontend over a partitioned oracle and a WAL, and through an
+HA failover, under the checker.
 """
 
 from repro.analysis.lint import ALL_PASSES, LintFinding, lint_file, lint_source, lint_tree

@@ -20,9 +20,8 @@ Annotations (ordinary comments, read by the engine):
     attribute in the module to sit lexically inside ``with <lock>:``.
 
 ``# guarded-by: <attr> -> <lock>``
-    Standalone form for state declared elsewhere (e.g. the per-shard
-    ``_last_commit`` dicts owned by ``_shard_locks`` in
-    ``core/partitioned.py``).
+    Standalone form for state declared elsewhere (e.g. another
+    object's ``_pending`` list owned by this module's lock).
 
 Pass scoping: ``deterministic-protocol`` only audits the decision-path
 packages (``core/``, ``percolator/``, ``ssi/``) and ``no-gc-tuning`` the
@@ -278,10 +277,10 @@ class _GuardedByVisitor:
     """Checks mutations of declared hot state against the owning lock.
 
     Tracks the lexical ``with`` stack and the function scope chain so
-    one-hop local bindings resolve: ``lock = self._shard_locks[pid]``
-    followed by ``with lock:`` counts as holding ``_shard_locks``, and
-    ``lc = partition._last_commit`` followed by ``lc[row] = ts`` counts
-    as mutating ``_last_commit``.
+    one-hop local bindings resolve: ``lock = self._locks[pid]``
+    followed by ``with lock:`` counts as holding ``_locks``, and
+    ``buf = self._pending`` followed by ``buf.append(x)`` counts as
+    mutating ``_pending``.
     """
 
     def __init__(self, ctx: ModuleContext) -> None:

@@ -1,11 +1,10 @@
 """Dynamic lock-order / race detector for the threaded protocol paths.
 
 Lockdep-style checking, scaled to this repo: every hot lock in the
-system (the per-shard locks in :mod:`repro.core.partitioned`, the
-frontend pending-swap lock, the WAL buffer lock) is created through
-:func:`make_lock`.  When checking is off — the default — that returns a
-plain ``threading.Lock`` and costs nothing.  When checking is on
-(``REPRO_RACECHECK=1`` in the environment, or :func:`activate` /
+system (the frontend pending-swap lock, the WAL buffer lock) is created
+through :func:`make_lock`.  When checking is off — the default — that
+returns a plain ``threading.Lock`` and costs nothing.  When checking is
+on (``REPRO_RACECHECK=1`` in the environment, or :func:`activate` /
 :func:`checking` from a test) it returns a :class:`TrackedLock` that
 reports every acquire/release to the process-wide :class:`RaceChecker`,
 which
@@ -19,8 +18,8 @@ which
   state call :meth:`RaceChecker.access`, and an access with the owning
   lock not held by the current thread is recorded as a violation.
 
-Locks are identified by *role* (e.g. ``"shard[3]"``, ``"wal"``), not by
-instance — two WAL objects share the ``"wal"`` node, exactly like
+Locks are identified by *role* (e.g. ``"frontend-flush"``, ``"wal"``),
+not by instance — two WAL objects share the ``"wal"`` node, exactly like
 lockdep lock classes.  That deliberately over-approximates: an ordering
 that is safe only because two instances are never shared across threads
 still gets flagged, which is the conservative answer we want for a

@@ -15,7 +15,6 @@ Public surface:
 from repro.bench.frontend_bench import (
     FrontendBenchResult,
     bench_batched,
-    bench_partition_aligned,
     bench_unbatched,
     median_speedup,
     paired_decide_speedups,
@@ -51,7 +50,6 @@ __all__ = [
     "speedup",
     "sweep_batch_sizes",
     "sweep_batch_partitions",
-    "bench_partition_aligned",
     "profile_frontend",
     "AsciiChart",
     "latency_throughput_chart",

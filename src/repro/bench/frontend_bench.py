@@ -34,12 +34,13 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
+from types import MethodType
 from typing import List, Sequence
 
 from repro.bench.reporting import collector_share
-from repro.core.engine import make_engine
+from repro.core.engine import CommitEngine, make_engine
 from repro.core.partitioned import PartitionedOracle
-from repro.core.status_oracle import CLIENT_ABORT, CommitRequest, make_oracle
+from repro.core.status_oracle import CommitRequest, make_oracle
 from repro.server.frontend import OracleFrontend
 from repro.wal.bookkeeper import BookKeeperWAL
 from repro.workload.generator import TransactionSpec, complex_workload
@@ -65,11 +66,6 @@ class FrontendBenchResult:
     wal_records: int  # logical records appended (group record counts once)
     wal_ledger_entries: int  # physical ledger writes
     partitions: int = 0  # 0 = monolithic oracle
-    #: fraction of decisions that crossed partitions (partitioned runs).
-    cross_fraction: float = 0.0
-    #: rows examined by conflict checks, summed over partitions
-    #: (cross-partition runs).
-    rows_checked: int = 0
 
     @property
     def us_per_op(self) -> float:
@@ -99,59 +95,13 @@ def make_specs(
 
 
 def sequential_decide(backend):
-    """Install one ``commit()`` / ``abort()`` call per batch item as
-    ``backend``'s batch-decide hook — the per-request decision loop the
-    batch engines replaced, and benchmarks E18 and E23's baseline.
-    Install it on a WAL-less backend before building the frontend, which
-    binds the hook and writes the group record.  Items may be nowait
-    requests or ``(request, future)`` pairs; a raising call is isolated
-    to its own item through ``errors``, as in the batch engines.
-    Returns ``backend``."""
-    commit, abort, stats = backend.commit, backend.abort, backend.stats
-    partitions = getattr(backend, "partitions", ())  # per-shard counters
-
-    def rows_checked():
-        return stats.rows_checked + sum(p.stats.rows_checked for p in partitions)
-
-    def decide(batch, payload_commits, payload_aborts, errors, results=None):
-        checked_before = rows_checked()
-        commits = aborts = rows_updated = 0
-        for item in batch:
-            req, fut = item if item.__class__ is tuple else (item, None)
-            try:
-                if req.__class__ is not CommitRequest:
-                    abort(req)
-                    aborts += 1
-                    payload_aborts.append(req)
-                    if fut is not None:
-                        fut._reason = CLIENT_ABORT
-                    continue
-                result = commit(req)
-            except Exception as exc:
-                start = req if req.__class__ is not CommitRequest else req.start_ts
-                errors.append((start, exc))
-                if fut is not None:
-                    fut._error = exc
-                continue
-            if result.committed:
-                commits += 1
-                if result.commit_ts is not None:
-                    rows_updated += len(req.write_set)
-                    payload_commits.append(
-                        (req.start_ts, result.commit_ts, req.write_set)
-                    )
-                if fut is not None:
-                    fut._committed = True
-                    fut._commit_ts = result.commit_ts
-            else:
-                aborts += 1
-                payload_aborts.append(req.start_ts)
-                if fut is not None:
-                    fut._reason = result.reason
-                    fut._row = result.conflict_row
-        return commits, aborts, rows_checked() - checked_before, rows_updated
-
-    backend._decide_batch = decide
+    """Make ``backend`` decide every batch with
+    :class:`~repro.core.engine.CommitEngine`'s default loop — one
+    ``commit()`` / ``abort()`` call per item — instead of its own bulk
+    pass: benchmarks E18 and E23's baseline.  Install it on a WAL-less
+    backend before building the frontend, which binds the hook and
+    writes the group record.  Returns ``backend``."""
+    backend._decide_batch = MethodType(CommitEngine._decide_batch, backend)
     return backend
 
 
@@ -399,214 +349,6 @@ def speedup(results: Sequence[FrontendBenchResult], batch_size: int) -> float:
     return target.ops_per_sec / baseline.ops_per_sec
 
 
-def make_aligned_requests(frontend, specs, partitions: int):
-    """Partition-aligned commit requests for a running frontend.
-
-    Spec ``i``'s rows are remapped into partition ``i % partitions``
-    (``row -> row * partitions + shard``; ``stable_hash`` maps an
-    integer row to itself, so the shard assignment is exact and
-    process-independent), so every transaction is single-partition — the
-    co-located-schema case a real deployment of §6.3 footnote 6 would
-    engineer for, and the case where ``PartitionedOracle.decide_batch``
-    does one bulk check/install round per shard per flush.
-    """
-    requests = []
-    for i, spec in enumerate(specs):
-        shard = i % partitions
-        requests.append(
-            CommitRequest(
-                frontend.begin(),
-                write_set=frozenset(
-                    row * partitions + shard for row in spec.write_rows
-                ),
-                read_set=frozenset(
-                    row * partitions + shard for row in spec.read_rows
-                ),
-            )
-        )
-    return requests
-
-
-def bench_partition_aligned(
-    level: str,
-    specs: Sequence[TransactionSpec],
-    batch_size: int = 32,
-    partitions: int = 4,
-    repeats: int = DEFAULT_REPEATS,
-    per_request: bool = False,
-) -> FrontendBenchResult:
-    """Batch-decide (or per-request) frontend over the partitioned oracle
-    on a fully partition-aligned workload (zero cross-partition traffic)."""
-    best = None
-    for _ in range(repeats):
-        wal = BookKeeperWAL()
-        oracle = PartitionedOracle(level=level, num_partitions=partitions)
-        if per_request:
-            sequential_decide(oracle)
-        frontend = OracleFrontend(oracle, max_batch=batch_size, wal=wal)
-        requests = make_aligned_requests(frontend, specs, partitions)
-        submit = frontend.submit_commit_nowait
-        gc.collect()
-        t0 = time.perf_counter()
-        for request in requests:
-            submit(request)
-        frontend.flush()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best[0]:
-            best = (dt, oracle, wal)
-    dt, oracle, wal = best
-    return FrontendBenchResult(
-        level=level,
-        mode="batched-per-request" if per_request else "batched",
-        batch_size=batch_size,
-        ops_per_sec=len(specs) / dt,
-        commits=oracle.stats.commits,
-        aborts=oracle.stats.aborts,
-        wal_records=wal.record_count,
-        wal_ledger_entries=wal.flush_count,
-        partitions=partitions,
-    )
-
-
-def make_cross_heavy_requests(frontend, specs, partitions: int,
-                              cross_every: int = 2):
-    """Cross-partition-heavy commit requests for a running frontend.
-
-    Spec ``i`` is forced **cross-partition** when ``i % cross_every ==
-    0``: its rows are remapped round-robin over all partitions
-    (``row -> row * partitions + (j % partitions)``, ``j`` the row's
-    index within the sorted footprint), so any footprint of two or more
-    rows spans at least two partitions.  The remaining specs are
-    partition-aligned to shard ``i % partitions``, exactly as
-    :func:`make_aligned_requests` lays them out.  With the default
-    ``cross_every=2`` at least half of the multi-row footprints are
-    multi-partition — the hash-sharded workload shape that used to break
-    every batch and fall back to per-request two-phase decisions;
-    ``cross_every=1`` makes the workload all-cross.  ``stable_hash``
-    maps an integer row to itself, so the placement is exact and
-    process-independent.
-    """
-    requests = []
-    for i, spec in enumerate(specs):
-        rows = sorted({*spec.write_rows, *spec.read_rows})
-        if i % cross_every == 0:
-            remap = {
-                row: row * partitions + (j % partitions)
-                for j, row in enumerate(rows)
-            }
-        else:
-            shard = i % partitions
-            remap = {row: row * partitions + shard for row in rows}
-        requests.append(
-            CommitRequest(
-                frontend.begin(),
-                write_set=frozenset(remap[r] for r in spec.write_rows),
-                read_set=frozenset(remap[r] for r in spec.read_rows),
-            )
-        )
-    return requests
-
-
-def _run_cross_partition(level, specs, batch_size, partitions, per_request,
-                         cross_every, baseline=sequential_decide):
-    # Both sides run the identical frontend; ``per_request`` installs
-    # ``baseline``'s decision loop on the oracle instance instead of the
-    # cross-partition batch protocol, so each pair isolates the protocol
-    # itself.
-    wal = BookKeeperWAL()
-    oracle = PartitionedOracle(level=level, num_partitions=partitions)
-    if per_request:
-        baseline(oracle)
-    frontend = OracleFrontend(oracle, max_batch=batch_size, wal=wal)
-    requests = make_cross_heavy_requests(
-        frontend, specs, partitions, cross_every
-    )
-    submit = frontend.submit_commit_nowait
-    gc.collect()
-    t0 = time.perf_counter()
-    for request in requests:
-        submit(request)
-    frontend.flush()
-    dt = time.perf_counter() - t0
-    return dt, oracle, wal
-
-
-def bench_cross_partition(
-    level: str,
-    specs: Sequence[TransactionSpec],
-    batch_size: int = 32,
-    partitions: int = 4,
-    repeats: int = DEFAULT_REPEATS,
-    per_request: bool = False,
-    cross_every: int = 2,
-    baseline=sequential_decide,
-) -> FrontendBenchResult:
-    """The cross-partition-heavy workload through the partitioned
-    frontend: ``per_request=True`` decides through ``baseline``, a
-    function installing a batch-decide hook on the oracle instance (by
-    default :func:`sequential_decide`: every item through the oracle's
-    own ``commit()``, a cross item taking a per-request two-phase
-    decision); ``False`` the cross-partition batch protocol's
-    one-bulk-round-per-partition flush."""
-    best = None
-    for _ in range(repeats):
-        run = _run_cross_partition(
-            level, specs, batch_size, partitions, per_request, cross_every,
-            baseline,
-        )
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle, wal = best
-    return FrontendBenchResult(
-        level=level,
-        mode="cross-per-request" if per_request else "cross-batched",
-        batch_size=batch_size,
-        ops_per_sec=len(specs) / dt,
-        commits=oracle.stats.commits,
-        aborts=oracle.stats.aborts,
-        wal_records=wal.record_count,
-        wal_ledger_entries=wal.flush_count,
-        partitions=partitions,
-        cross_fraction=oracle.cross_partition_fraction(),
-        rows_checked=sum(p.stats.rows_checked for p in oracle.partitions),
-    )
-
-
-def paired_cross_speedups(
-    level: str = "wsi",
-    batch_size: int = 32,
-    pairs: int = 5,
-    num_requests: int = DEFAULT_NUM_REQUESTS,
-    keyspace: int = DEFAULT_KEYSPACE,
-    seed: int = 42,
-    partitions: int = 4,
-    cross_every: int = 2,
-    baseline=sequential_decide,
-) -> List[float]:
-    """Back-to-back (baseline, batch protocol) pairs on the
-    cross-partition-heavy workload.
-
-    Benchmark E19's measurement: both sides run the same partitioned
-    frontend with the same one-group-WAL-record-per-batch durability;
-    the baseline side installs ``baseline``'s decision loop on the
-    oracle (see :func:`bench_cross_partition`), so each ratio isolates
-    what the cross-partition batch protocol buys over it — one bulk
-    validation/install round per partition per flush instead of a
-    check visit per involved partition per cross request.
-    """
-    specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
-    ratios = []
-    for _ in range(pairs):
-        dt_p, _, _ = _run_cross_partition(
-            level, specs, batch_size, partitions, True, cross_every, baseline
-        )
-        dt_b, _, _ = _run_cross_partition(
-            level, specs, batch_size, partitions, False, cross_every
-        )
-        ratios.append(dt_p / dt_b)
-    return ratios
-
-
 def sweep_batch_partitions(
     level: str = "wsi",
     batch_sizes: Sequence[int] = (8, 32, 128),
@@ -619,9 +361,9 @@ def sweep_batch_partitions(
     """Batch-decide throughput over the batch size × partitions grid.
 
     Partition count 0 is the monolithic oracle; N >= 1 routes through
-    :class:`~repro.core.partitioned.PartitionedOracle`, whose
-    ``decide_batch`` does one bulk check/install round per shard per
-    flush (§6.3 footnote 6's scale-out, amortized per batch).
+    :class:`~repro.core.partitioned.PartitionedOracle`, which decides
+    each flush with one ``commit()`` call per request (§6.3 footnote 6's
+    scale-out).
     """
     specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
     results = []
@@ -733,7 +475,7 @@ def paired_engine_speedups(
     ``repeats`` runs (machine noise is one-sided — contention only ever
     slows a run down — so the minimum is the least-biased estimate of
     the true cost, the same estimator :func:`bench_engine` uses), and
-    the median of the pair ratios is the reported speedup (the E17–E21
+    the median of the pair ratios is the reported speedup (the E17–E20
     protocol).
     """
     ratios = []
@@ -747,110 +489,6 @@ def paired_engine_speedups(
             for _ in range(repeats)
         )
         ratios.append(dt_p / dt_b)
-    return ratios
-
-
-# ----------------------------------------------------------------------
-# executor benchmarks (E21): parallel vs serial protocol rounds
-# ----------------------------------------------------------------------
-
-def _run_executor_rounds(level, specs, batch_size, partitions, executor,
-                         round_latency, cross_every):
-    """One cross-heavy run with the chosen round executor and an
-    injected per-round latency (the modeled per-partition commit-table
-    RPC; ``time.sleep`` releases the GIL, so overlap under the parallel
-    executor is real wall-clock, not bookkeeping)."""
-    wal = BookKeeperWAL()
-    oracle = PartitionedOracle(
-        level=level,
-        num_partitions=partitions,
-        executor=executor,
-        round_latency=round_latency,
-    )
-    frontend = OracleFrontend(oracle, max_batch=batch_size, wal=wal)
-    requests = make_cross_heavy_requests(
-        frontend, specs, partitions, cross_every
-    )
-    submit = frontend.submit_commit_nowait
-    gc.collect()
-    t0 = time.perf_counter()
-    for request in requests:
-        submit(request)
-    frontend.flush()
-    dt = time.perf_counter() - t0
-    frontend.close()  # joins an owned parallel executor's workers
-    return dt, oracle, wal, frontend
-
-
-def bench_executor_rounds(
-    level: str,
-    specs: Sequence[TransactionSpec],
-    batch_size: int = 32,
-    partitions: int = 4,
-    repeats: int = DEFAULT_REPEATS,
-    executor: str = "serial",
-    round_latency: float = 0.0,
-    cross_every: int = 1,
-) -> FrontendBenchResult:
-    """Cross-heavy partitioned frontend under one executor choice."""
-    best = None
-    for _ in range(repeats):
-        run = _run_executor_rounds(
-            level, specs, batch_size, partitions, executor, round_latency,
-            cross_every,
-        )
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle, wal, _ = best
-    return FrontendBenchResult(
-        level=level,
-        mode=f"rounds-{executor}",
-        batch_size=batch_size,
-        ops_per_sec=len(specs) / dt,
-        commits=oracle.stats.commits,
-        aborts=oracle.stats.aborts,
-        wal_records=wal.record_count,
-        wal_ledger_entries=wal.flush_count,
-        partitions=partitions,
-        cross_fraction=oracle.cross_partition_fraction(),
-    )
-
-
-def paired_executor_speedups(
-    level: str = "wsi",
-    batch_size: int = 32,
-    pairs: int = 3,
-    num_requests: int = 2_000,
-    keyspace: int = DEFAULT_KEYSPACE,
-    seed: int = 42,
-    partitions: int = 4,
-    round_latency: float = 1e-3,
-    cross_every: int = 1,
-) -> List[float]:
-    """Back-to-back (serial, parallel) pairs on the cross-heavy workload
-    with injected per-round latency.
-
-    Benchmark E21's measurement, following the E17—E20 protocol: both
-    sides run the identical batch-protocol frontend over the same
-    requests; only the executor differs, so each ratio isolates round
-    overlap.  With every flush touching all ``partitions`` twice (a
-    >=50 %-cross workload at batch 32 does), the serial side pays
-    ``2 * partitions`` round latencies per flush and the parallel side
-    ~2, bounding the ideal ratio at ``partitions``; thread handoff and
-    the GIL-bound merge pass eat part of that.
-    """
-    specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
-    ratios = []
-    for _ in range(pairs):
-        dt_serial, _, _, _ = _run_executor_rounds(
-            level, specs, batch_size, partitions, "serial", round_latency,
-            cross_every,
-        )
-        dt_parallel, _, _, _ = _run_executor_rounds(
-            level, specs, batch_size, partitions, "parallel", round_latency,
-            cross_every,
-        )
-        ratios.append(dt_serial / dt_parallel)
     return ratios
 
 

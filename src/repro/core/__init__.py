@@ -15,9 +15,8 @@ Public surface:
   :class:`BoundedArrayLastCommit` over :class:`KeyInterner` dense ids,
   selected per oracle via ``lastcommit=`` or globally via
   ``REPRO_LASTCOMMIT`` (:func:`make_lastcommit`).
-* :class:`PartitionedOracle` with pluggable
-  :class:`~repro.core.executor.PartitionExecutor` round drivers
-  (:class:`SerialExecutor` / :class:`ParallelExecutor`) and
+* :class:`PartitionedOracle` (§6.3 footnote 6: sharded ``lastCommit``
+  behind one TSO) with pluggable
   :class:`~repro.core.sharding.ShardingPolicy` placement
   (:class:`HashSharding` / :class:`RangeSharding` /
   :class:`DirectorySharding`).
@@ -55,12 +54,6 @@ from repro.core.errors import (
     TransactionError,
     WALError,
 )
-from repro.core.executor import (
-    ParallelExecutor,
-    PartitionExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from repro.core.isolation import IsolationLevel, TransactionalSystem, create_system
 from repro.core.keyspace import KeyInterner
 from repro.core.lastcommit import (
@@ -69,7 +62,7 @@ from repro.core.lastcommit import (
     LastCommitStore,
     make_lastcommit,
 )
-from repro.core.partitioned import BatchRounds, PartitionedOracle
+from repro.core.partitioned import PartitionedOracle
 from repro.core.sharding import (
     DirectorySharding,
     HashSharding,
@@ -119,11 +112,6 @@ __all__ = [
     "BoundedArrayLastCommit",
     "make_lastcommit",
     "PartitionedOracle",
-    "BatchRounds",
-    "PartitionExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "make_executor",
     "ShardingPolicy",
     "HashSharding",
     "RangeSharding",

@@ -35,16 +35,19 @@ Decisions
     ``rows_to_check(request)`` names the rows the protocol validates
     (the SI/WSI/SSI policy hook, also used by the partition router).
     ``_decide_batch(batch, payload_commits, payload_aborts, errors,
-    results=None)`` is the group-commit hot path: one bulk pass over a
-    whole flush, observationally equivalent to the sequential calls in
-    batch order — same decisions, commit timestamps, engine state and
-    stats.  Batch items are ``CommitRequest`` | ``int`` (client abort)
-    | ``(request_or_ts, future)``; futures get their outcome written
+    results=None)`` is the group-commit hook: it decides a whole flush,
+    observationally equivalent to the sequential calls in batch order —
+    same decisions, commit timestamps, engine state and stats.  Batch
+    items are ``CommitRequest`` | ``int`` (client abort) |
+    ``(request_or_ts, future)``; futures get their outcome written
     directly via the ``_committed``/``_commit_ts``/``_reason``/
     ``_row``/``_error`` attributes.  The method returns ``(commits,
     aborts, rows_checked, rows_updated)`` for the frontend's batch
-    accounting.  The hypothesis suite in ``tests/engines`` pins
-    ``decide_batch ≡ sequential`` per engine.
+    accounting.  The default here *is* the sequential loop — one
+    ``commit()`` / ``abort()`` call per item — and is what the
+    partitioned engine decides with; the monolithic engines override it
+    with one bulk pass per flush.  The hypothesis suite in
+    ``tests/engines`` pins ``decide_batch ≡ sequential`` per engine.
 
 Durability and recovery
     ``_wal`` is the engine-owned write-ahead log (or ``None`` when a
@@ -72,7 +75,7 @@ Implementations
   the paper's Algorithms 1–3.
 * :class:`~repro.core.partitioned.PartitionedOracle` — the §6.3
   footnote-6 deployment: N ``lastCommit`` shards behind one TSO,
-  batches decided by the cross-partition batch protocol.
+  batches decided by the default ``commit()`` loop.
 * :class:`~repro.percolator.engine.PercolatorEngine` — group-committed
   prewrite/finalize over the Percolator lock/write columns.
 * :class:`~repro.ssi.engine.SSIEngine` — Cahill SSI with a bulk
@@ -98,11 +101,12 @@ class CommitEngine:
 
     Deliberately *not* an ``abc.ABC``: the serving stack duck-types
     against this surface, and the class exists to document the contract
-    and to host the shared ``decide_batch`` / ``recover_from``
-    templates.  A foreign backend that duck-types the surface must
-    supply ``_decide_batch`` too: it is the frontend's one decision
-    path, and :class:`~repro.server.OracleFrontend` refuses a backend
-    without it with a ``TypeError``.
+    and to host the shared ``decide_batch`` / ``_decide_batch`` /
+    ``recover_from`` templates.  A foreign backend that duck-types the
+    surface without subclassing must supply ``_decide_batch`` too: it is
+    the frontend's one decision path, and
+    :class:`~repro.server.OracleFrontend` refuses a backend without it
+    with a ``TypeError``.
     """
 
     #: protocol tag ("si" / "wsi" / "ssi" / "percolator" / ...).
@@ -131,9 +135,79 @@ class CommitEngine:
     def rows_to_check(self, request):
         raise NotImplementedError
 
+    def _rows_checked(self) -> int:
+        """Rows examined by conflict checks so far — the counter the
+        default :meth:`_decide_batch` differences per flush (an engine
+        that counts per shard sums its shards)."""
+        return self.stats.rows_checked
+
     def _decide_batch(self, batch, payload_commits, payload_aborts, errors,
                       results=None):
-        raise NotImplementedError
+        """The default batch decision: one :meth:`commit` /
+        :meth:`abort` call per item, in batch order.
+
+        Sequential equivalence holds by construction.  Decision payloads
+        go to ``payload_commits`` / ``payload_aborts`` in decision order;
+        a call that raises is isolated to its item through ``errors``
+        (its future gets the error, its ``results`` slot is ``None``) and
+        the rest of the batch is still decided.  ``results``, when given,
+        receives one entry per item: the ``CommitResult`` of
+        :meth:`commit`, or ``CommitResult(False, start_ts,
+        reason=CLIENT_ABORT)`` for a client abort.
+        """
+        # Lazy: status_oracle subclasses this module's CommitEngine.
+        from repro.core.status_oracle import (
+            CLIENT_ABORT,
+            CommitRequest,
+            CommitResult,
+        )
+
+        commit, abort = self.commit, self.abort
+        pc_append = payload_commits.append
+        pa_append = payload_aborts.append
+        res_append = results.append if results is not None else None
+        checked_before = self._rows_checked()
+        commits = aborts = rows_updated = 0
+        for item in batch:
+            req, fut = item if item.__class__ is tuple else (item, None)
+            try:
+                if req.__class__ is not CommitRequest:
+                    abort(req)
+                    aborts += 1
+                    pa_append(req)
+                    if fut is not None:
+                        fut._reason = CLIENT_ABORT
+                    if res_append is not None:
+                        res_append(CommitResult(False, req, reason=CLIENT_ABORT))
+                    continue
+                result = commit(req)
+            except Exception as exc:
+                errors.append(
+                    (req if req.__class__ is not CommitRequest
+                     else req.start_ts, exc)
+                )
+                if fut is not None:
+                    fut._error = exc
+                if res_append is not None:
+                    res_append(None)
+                continue
+            if res_append is not None:
+                res_append(result)
+            if result.committed:
+                commits += 1
+                if result.commit_ts is not None:
+                    rows_updated += len(req.write_set)
+                    pc_append((req.start_ts, result.commit_ts, req.write_set))
+                if fut is not None:
+                    fut._committed = True
+                    fut._commit_ts = result.commit_ts
+            else:
+                aborts += 1
+                pa_append(req.start_ts)
+                if fut is not None:
+                    fut._reason = result.reason
+                    fut._row = result.conflict_row
+        return commits, aborts, self._rows_checked() - checked_before, rows_updated
 
     @property
     def timestamp_oracle(self):

@@ -24,8 +24,8 @@ block cache.  Properties:
   cross-type consistent and never salted; small non-negative integers
   (below CPython's numeric-hash modulus, :data:`INT_IDENTITY_BOUND`)
   are their own hash, so integer keyspaces shard exactly like
-  ``row % num_partitions`` and benchmark workloads can *construct* a
-  row for a target shard (see ``make_aligned_requests``);
+  ``row % num_partitions`` and workloads can *construct* a row for a
+  target shard (``row * num_partitions + shard``);
 * strings and bytes go through ``zlib.crc32`` over their UTF-8 bytes —
   cheap, stable, and well-mixed for modulo placement; tuples hash
   recursively over their elements (so ``(1,)`` and ``(1.0,)`` — equal
@@ -48,14 +48,14 @@ option of both consumers (``sharding=``):
   configured key groups to one partition each (unmapped keys fall back
   to another policy).  This is the policy that converts a group-local
   workload's cross-partition traffic into aligned traffic outright —
-  benchmark E21 measures ``cross_partition_fraction()`` collapsing to
+  benchmark E21c measures ``cross_partition_fraction()`` collapsing to
   ~0 under it.
 
 Every policy must be deterministic across processes (the subprocess
 pins in ``tests/core/test_sharding.py`` cover all three): placement is
 *routing state* shared by every frontend and replica, exactly like
-``stable_hash`` itself.  Policies are placement only — mechanism (the
-protocol rounds) never changes with the policy, which is the narrow
+``stable_hash`` itself.  Policies are placement only — the decision
+mechanism never changes with the policy, which is the narrow
 policy/mechanism interface the MetaSys line of work argues for.
 """
 
@@ -118,7 +118,7 @@ def stable_hash(row: Hashable) -> int:
 
 
 # ----------------------------------------------------------------------
-# sharding policies: pluggable placement over the same protocol rounds
+# sharding policies: pluggable placement under the same decision rules
 # ----------------------------------------------------------------------
 
 class ShardingPolicy:
@@ -230,7 +230,7 @@ class DirectorySharding(ShardingPolicy):
     transactions stay inside known key *groups* (one user's rows, one
     tenant's schema) pins each group to one partition and its traffic
     becomes single-partition outright — the cross-partition fraction
-    collapses to the unmapped remainder (benchmark E21's second bar).
+    collapses to the unmapped remainder (benchmark E21c's bar).
     The directory stores partition ids, applied modulo the live
     partition count so one directory serves any deployment size that
     preserves group identity.

@@ -366,8 +366,8 @@ class StatusOracle(CommitEngine):
 
         The per-outcome bookkeeping (commit-table error isolation,
         payload/future/result fills) is deliberately inlined in every
-        engine — this loop, the array-backed twin below, the bounded
-        override and the partitioned engine — because a shared helper
+        engine — this loop, the array-backed twin below and the bounded
+        override — because a shared helper
         costs a Python call per decision on the measured hot path
         (benchmark E18).
         Change one, change all; the hypothesis equivalence suite pins
@@ -917,15 +917,11 @@ class StatusOracle(CommitEngine):
         rows it examined.  Returns ``(conflict_row, rows_examined)``;
         ``conflict_row`` is ``None`` when every row passes.
 
-        Deliberately side-effect free: no stats, no state.  The caller
-        — :meth:`PartitionedOracle._commit_cross` for one request, the
-        partitioned batch protocol for a whole run of them — owns the
-        accounting, because only the caller knows whether the scan
-        "really happened" in the sequential-equivalent order (the batch
-        protocol validates shares eagerly and attributes ``rows_checked``
-        during its merge pass).  The comparison is the plain lastCommit
-        rule shared by SI and WSI; *which* rows form the share is the
-        caller's level-dependent choice.  The bounded oracle's Tmax
+        Deliberately side-effect free: no stats, no state.  The caller,
+        :meth:`PartitionedOracle._commit_cross`, owns the accounting.
+        The comparison is the plain lastCommit rule shared by SI and
+        WSI; *which* rows form the share is the caller's level-dependent
+        choice.  The bounded oracle's Tmax
         refinement is not modelled here — conflict partitions are plain
         SI/WSI oracles.
 

@@ -42,9 +42,11 @@ Design rules
    ``OracleStats`` counters — is identical to feeding the unbatched
    backend the same requests in batch order.  Every bundled backend
    (plain SI/WSI, bounded/Tmax, partitioned, Percolator, SSI) supplies
-   a ``_decide_batch`` engine that owns its policy semantics; the
-   frontend routes every batch through it — there is no second decision
-   path, and a backend without the hook is refused at construction.
+   a ``_decide_batch`` engine that owns its policy semantics (the
+   partitioned oracle inherits ``CommitEngine``'s default, one
+   ``commit()`` call per item); the frontend routes every batch through
+   it — there is no second decision path, and a backend without the
+   hook is refused at construction.
 2. **Read-only transactions stay free** (§4.1 condition 3 / §5.1): a
    commit request with an empty write set resolves immediately — no
    conflict check, no commit timestamp, no batch slot — and a batch of
@@ -115,13 +117,12 @@ batching win over the unbatched oracle (>= 3x at batch 32); benchmark
 E18 isolates the in-critical-section win of ``decide_batch`` over one
 ``commit()`` call per batch item behind the same frontend (>= 1.5x at
 batch 32, typically ~2x) — that baseline
-(``repro.bench.frontend_bench.sequential_decide``) is installed on the
-backend instance by the benchmark.  The
-partitioned engine additionally decides the whole flush — single- and
-cross-partition requests alike — with one bulk check round and one bulk
-install round per involved partition (the cross-partition batch
-protocol), the per-RPC amortization a distributed deployment of §6.3
-footnote 6 needs.
+(``repro.bench.frontend_bench.sequential_decide``, which binds
+``CommitEngine``'s default loop) is installed on the backend instance by
+the benchmark.  The partitioned engine decides with that same default
+loop: in-process there is no per-partition RPC for a bulk protocol to
+amortize, and end to end (``tpcc-partitioned``) one measured no faster
+than the loop.
 
 The second cost the interpreter adds is one no profile of the commit
 path shows, because it runs inside whoever happens to allocate:
@@ -155,34 +156,6 @@ settings (the ``no-gc-tuning`` lint pass), so it holds in any process
 that embeds the stack.  What remains is the floor a client sets itself:
 one tracked object per future it keeps.
 
-Executor choice: who drives the partition rounds
-================================================
-
-The partitioned backend's protocol rounds run through a pluggable
-:class:`~repro.core.executor.PartitionExecutor`
-(``PartitionedOracle(executor=...)``; ``REPRO_EXECUTOR`` sets the
-default).  Pick by where the round time goes:
-
-* ``serial`` (default) — rounds run inline on the coordinator.  Right
-  whenever rounds are pure Python dict scans: the GIL serializes those
-  anyway, so a thread pool would add handoff cost and win nothing.
-* ``parallel`` — rounds fan out over a thread pool and join at the
-  merge barrier (each partition shard has its own lock).  Right when a
-  round *releases the GIL* — a real per-partition RPC to a remote
-  commit-table shard, or any C-level wait — because then the flush pays
-  roughly one round-trip per *phase* instead of one per partition.
-  Benchmark E21 measures exactly this with an injected per-round
-  latency (``PartitionedOracle(round_latency=...)``): >= 1.5x at 4
-  partitions on cross-heavy workloads, typically ~3x.
-
-Either way decisions are identical — the equivalence suite pins
-parallel ≡ serial exactly — and per-flush observability rides
-``FlushedBatch.protocol_rounds`` / ``FrontendStats``: executor
-wall-clock per phase plus the max rounds any one partition drove (<= 2
-under the protocol), so overlap is measured, not inferred.
-``OracleFrontend.close()`` propagates executor shutdown to an owned
-executor, so no worker threads dangle after a deployment tears down.
-
 Sharding-policy selection: where a row lives
 ============================================
 
@@ -191,19 +164,15 @@ Row placement is a :class:`~repro.core.sharding.ShardingPolicy`
 
 * :class:`~repro.core.sharding.HashSharding` — uniform spread, zero
   locality assumptions; the default.  Multi-row footprints go mostly
-  cross-partition, which the batch protocol amortizes but cannot
-  eliminate.
+  cross-partition, each paying the two-phase ``_commit_cross``.
 * :class:`~repro.core.sharding.RangeSharding` — contiguous key bands;
   right when co-accessed keys are *nearby* (range scans, clustered
   schemas).  Watch for hot bands under skew.
 * :class:`~repro.core.sharding.DirectorySharding` — explicit group →
   partition affinity; right when transactions stay inside known key
   groups (per-user, per-tenant rows).  Converts cross traffic into
-  aligned traffic outright: E21's group-local leg drives
+  aligned traffic outright: benchmark E21c's group-local leg drives
   ``cross_partition_fraction()`` to ~0.
-
-Placement is policy, the protocol rounds are mechanism, and the two
-never interact — any policy composes with any executor.
 
 The *begin* direction of the hot loop is amortized the same way:
 ``OracleFrontend(begin_lease=n)`` leases a contiguous block of ``n``

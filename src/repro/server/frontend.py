@@ -104,13 +104,6 @@ class FlushedBatch:
     released: bool = False
     #: True once some future of this batch registered a done-callback.
     has_callbacks: bool = False
-    #: Per-partition protocol rounds this flush cost, when the backend
-    #: is a :class:`~repro.core.partitioned.PartitionedOracle` (a
-    #: :class:`~repro.core.partitioned.BatchRounds`); ``None`` for
-    #: monolithic backends.  In a distributed
-    #: deployment each check/install round is one RPC to one partition —
-    #: this is the amortization the cross-partition batch protocol buys.
-    protocol_rounds: Any = None
 
     @property
     def size(self) -> int:
@@ -364,22 +357,14 @@ class FrontendStats:
     #: High-water mark of decisions in flight (pending + flushed batches
     #: not yet durable); bounded by ``max_queue_depth`` when set.
     max_inflight_seen: int = 0
-    #: Totals of the partitioned batch protocol's per-partition rounds
-    #: (zero for monolithic backends): check rounds are phase-1 bulk
-    #: validations, install rounds phase-3 bulk installs — one RPC each
-    #: per partition per flush in a distributed deployment.
-    partition_check_rounds: int = 0
-    partition_install_rounds: int = 0
-    cross_partition_requests: int = 0
-    #: Executor wall-clock spent fanning each protocol phase out
-    #: (seconds, accumulated across flushes), plus the most rounds any
-    #: one partition drove in a single flush (<= 2 under the protocol).
-    #: Together these make benchmark E21's overlap claim observable:
-    #: under a parallel executor the phase wall-clock tracks the
-    #: per-partition occupancy, not the total round count.
-    partition_validate_seconds: float = 0.0
-    partition_install_seconds: float = 0.0
-    max_partition_rounds_seen: int = 0
+    #: Always zero: no engine decides in per-partition rounds.  Kept
+    #: only because the end-to-end benchmark's driver
+    #: (``benchmarks/e2e/e2ebench/driver.py``) still reads them; they go
+    #: once it stops.
+    partition_check_rounds = 0
+    partition_install_rounds = 0
+    partition_validate_seconds = 0.0
+    partition_install_seconds = 0.0
 
     def avg_batch_size(self) -> float:
         """Mean decisions per batch; 0.0 before any flush (never raises
@@ -899,10 +884,6 @@ class OracleFrontend:
             commits, aborts, rows_checked, rows_updated = self._engine(
                 batch, payload_commits, payload_aborts, errors, None
             )
-            # The partitioned engine reports how many per-partition
-            # protocol rounds the flush cost (BatchRounds); monolithic
-            # engines have no such notion, leaving None.
-            rounds = getattr(self._backend, "last_flush_rounds", None)
 
             # One group-commit record for the whole batch (§6.3 /
             # Appendix A amortization).  Batches that decided nothing
@@ -938,16 +919,6 @@ class OracleFrontend:
             stats.flushes_by_close += 1
         else:
             stats.flushes_by_force += 1
-        if rounds is not None:
-            stats.partition_check_rounds += rounds.check_rounds
-            stats.partition_install_rounds += rounds.install_rounds
-            stats.cross_partition_requests += rounds.cross_requests
-            stats.partition_validate_seconds += rounds.validate_wall
-            stats.partition_install_seconds += rounds.install_wall
-            if rounds.max_partition_rounds > stats.max_partition_rounds_seen:
-                stats.max_partition_rounds_seen = rounds.max_partition_rounds
-            cell.protocol_rounds = rounds
-
         cell.trigger = trigger
         cell.commits = commits
         cell.aborts = aborts
@@ -1029,10 +1000,7 @@ class OracleFrontend:
         """Flush the open batch (and the WAL) and stop accepting work.
 
         The backend oracle stays open — the frontend is a layer over it,
-        not its owner — but a partitioned backend's *owned* round
-        executor is shut down (worker threads joined; the backend falls
-        back to serial rounds, deciding identically), so tearing down a
-        frontend never leaves dangling threads."""
+        not its owner."""
         if self._closed:
             return
         self.flush(trigger="close")
@@ -1043,9 +1011,6 @@ class OracleFrontend:
         # and an emptied lease routes begin() to the closed check.
         self._lease_next, self._lease_hi = 1, 0
         self._closed = True
-        shutdown_executor = getattr(self._backend, "shutdown_executor", None)
-        if shutdown_executor is not None:
-            shutdown_executor()
 
     @property
     def closed(self) -> bool:

@@ -110,22 +110,11 @@ class GroupCommitSim:
         num_partitions: ``0`` (default) runs the monolithic oracle; a
             positive count runs a
             :class:`~repro.core.partitioned.PartitionedOracle` backend,
-            and each flush additionally occupies the critical section
-            for its protocol-round cost
-            (:meth:`~repro.sim.latency.LatencyModel.partition_round_cost`
-            — zero unless the latency model prices
-            ``partition_round``).
-        executor: ``"serial"`` or ``"parallel"`` — how the modeled
-            coordinator drives partition rounds.  This is a *pricing*
-            choice: serial pays one ``partition_round`` per round,
-            parallel one per phase (the overlap).  The backend itself
-            always runs the serial executor — real threads have no
-            place in a discrete-event simulation, and executor choice
-            never changes decisions (the equivalence suite pins it).
+            priced like the monolithic oracle by the rows its batch
+            checks and updates.
         sharding: optional
             :class:`~repro.core.sharding.ShardingPolicy` for the
-            partitioned backend (placement changes which rounds exist,
-            which the round pricing then reflects).
+            partitioned backend.
         max_queue_depth: admission-control bound forwarded to the
             frontend (decisions in flight; ``Overloaded`` sheds the
             rest).  ``None`` queues without bound.
@@ -156,7 +145,6 @@ class GroupCommitSim:
         warmup: float = 0.1,
         measure: float = 0.5,
         num_partitions: int = 0,
-        executor: str = "serial",
         sharding: Optional[ShardingPolicy] = None,
         max_queue_depth: Optional[int] = None,
         offered_tps: Optional[float] = None,
@@ -164,8 +152,6 @@ class GroupCommitSim:
         failover_downtime: float = 0.002,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if executor not in ("serial", "parallel"):
-            raise ValueError("executor must be 'serial' or 'parallel'")
         if offered_tps is not None and offered_tps <= 0:
             raise ValueError("offered_tps must be > 0 (or None)")
         if engine is None:
@@ -195,7 +181,6 @@ class GroupCommitSim:
         self.measure = measure
         self.engine = Engine()
         self.num_partitions = num_partitions
-        self._parallel_rounds = executor == "parallel"
         self.max_queue_depth = max_queue_depth
         self.offered_tps = offered_tps
         self.failover_at = failover_at
@@ -204,13 +189,10 @@ class GroupCommitSim:
             max_attempts=6, base_delay=0.001, multiplier=2.0, max_delay=0.016
         )
         if num_partitions:
-            # executor pinned serial (not left to REPRO_EXECUTOR): the
-            # sim prices overlap, it must never spawn real threads.
             self.oracle = PartitionedOracle(
                 level=level,
                 num_partitions=num_partitions,
                 sharding=sharding,
-                executor="serial",
             )
         else:
             self.oracle = make_engine(engine, level=level)
@@ -265,16 +247,6 @@ class GroupCommitSim:
             batch.rows_checked,
             batch.rows_updated,
         )
-        rounds = batch.protocol_rounds
-        if rounds is not None:
-            # Partitioned flush: add the per-partition protocol-round
-            # RPCs — serial coordinators pay every round, a parallel
-            # executor one overlapped round per phase.
-            service += lat.partition_round_cost(
-                rounds.check_rounds,
-                rounds.install_rounds,
-                self._parallel_rounds,
-            )
         yield self.critical_section.acquire()
         yield self.engine.timeout(lat.sample(service))
         self.critical_section.release()

@@ -65,16 +65,6 @@ class LatencyModel:
     # calibrated to the wall-clock ratio benchmark E17 measures.
     oracle_batched_request: float = 1.4 * US
 
-    # Partitioned deployment (§6.3 footnote 6): one protocol round —
-    # a phase-1 bulk validation or phase-3 bulk install — is one RPC to
-    # one partition's commit-table shard.  Zero by default (the seed's
-    # in-process partitions cost nothing extra); set it to a network
-    # RTT to study distributed partitioning.  A serial coordinator pays
-    # it once per *round*, a parallel executor once per *phase* (the
-    # rounds overlap) — the overlap benchmark E21 measures on the wall
-    # clock, priced here for queueing studies.
-    partition_round: float = 0.0
-
     # BookKeeper batching (Appendix A): flush on 1 KB or 5 ms; a commit
     # is acknowledged at the next flush, so its latency is the batch-fill
     # wait plus the replicated ledger write (network + two bookie disks),
@@ -146,21 +136,6 @@ class LatencyModel:
             + self.oracle_batched_request * requests
             + row_cost
         )
-
-    def partition_round_cost(
-        self, check_rounds: int, install_rounds: int, parallel: bool
-    ) -> float:
-        """Protocol-round time of one partitioned flush (§6.3 footnote
-        6's per-partition RPCs): a serial coordinator drives every round
-        back-to-back; a parallel executor overlaps the rounds of each
-        phase, paying one ``partition_round`` per non-empty phase."""
-        if self.partition_round <= 0:
-            return 0.0
-        if parallel:
-            rounds = (check_rounds > 0) + (install_rounds > 0)
-        else:
-            rounds = check_rounds + install_rounds
-        return self.partition_round * rounds
 
 
 def paper_latency_model(seed: Optional[int] = None, jitter: float = 1.0) -> LatencyModel:

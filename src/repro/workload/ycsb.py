@@ -34,7 +34,7 @@ group to one partition
 :class:`~repro.core.sharding.DirectorySharding`, or use
 :class:`~repro.core.sharding.RangeSharding` — groups are contiguous)
 and the workload's cross-partition fraction collapses to ~0 (benchmark
-E21's second leg).  In grouped mode inserts and scans stay inside the
+E21c).  In grouped mode inserts and scans stay inside the
 transaction's group (an insert rewrites a group-local row instead of
 extending the frontier; scans clamp at the group edge), so locality is
 exact by construction.

@@ -177,23 +177,30 @@ class TestActivation:
                     with a:
                         pass
 
-    def test_env_activation_instruments_the_real_shard_locks(self):
-        # A fresh interpreter with REPRO_RACECHECK=1: the partitioned
-        # oracle's shard locks come out tracked, a real batch runs
-        # through them, and the run ends clean.
+    def test_env_activation_instruments_the_frontend_and_wal_locks(self):
+        # A fresh interpreter with REPRO_RACECHECK=1: the frontend's
+        # flush lock and the WAL's buffer lock come out tracked, a real
+        # flushed batch over a partitioned backend runs through them,
+        # and the run ends clean.
         code = (
             "from repro.analysis.racecheck import TrackedLock, active_checker\n"
             "from repro.core.partitioned import PartitionedOracle\n"
             "from repro.core.status_oracle import CommitRequest\n"
-            "oracle = PartitionedOracle(num_partitions=2, round_latency=0.0001)\n"
+            "from repro.server.frontend import OracleFrontend\n"
+            "from repro.wal.bookkeeper import BookKeeperWAL\n"
+            "wal = BookKeeperWAL()\n"
+            "frontend = OracleFrontend(PartitionedOracle(num_partitions=2),\n"
+            "                          max_batch=8, wal=wal)\n"
             "rc = active_checker()\n"
             "assert rc is not None\n"
-            "assert isinstance(oracle._shard_locks[0], TrackedLock)\n"
-            "reqs = [CommitRequest(oracle.begin(),\n"
-            "                      write_set=frozenset({'a%d' % i, 'b%d' % i}))\n"
-            "        for i in range(8)]\n"
-            "results = oracle.decide_batch(reqs)\n"
-            "assert all(r.committed for r in results)\n"
+            "assert isinstance(frontend._flush_lock, TrackedLock)\n"
+            "assert isinstance(wal._wal_lock, TrackedLock)\n"
+            "futures = [frontend.submit_commit(CommitRequest(frontend.begin(),\n"
+            "               write_set=frozenset({'a%d' % i, 'b%d' % i})))\n"
+            "           for i in range(8)]\n"
+            "frontend.flush()\n"
+            "wal.flush()\n"
+            "assert all(f.outcome() == 'committed' for f in futures)\n"
             "assert rc.acquisitions > 0\n"
             "rc.assert_clean()\n"
             "print('RACECHECK-OK')\n"

@@ -1,84 +1,81 @@
-"""racecheck over the real paths: ParallelExecutor rounds + HA failover.
+"""racecheck over the real paths: concurrent sessions + HA failover.
 
-The acceptance stress: with checking active, the partitioned oracle's
-three-phase protocol fans its rounds over a real thread pool (shard
-locks taken from pool threads), the serving tier batches and flushes
-(frontend swap lock, WAL buffer lock), and a leader crash drives the
-failover path (``fail_pending`` under the dead host's flush lock, WAL
+The acceptance stress: with checking active, client threads take turns
+submitting into one frontend over a partitioned oracle (the submit side
+is single-writer, so they serialize on a client lock; the frontend swap
+lock is then taken from every thread), flushes append group-commit
+records (WAL buffer lock), and a leader crash drives the failover path
+(``fail_pending`` under the dead host's flush lock, WAL
 ``drop_pending``) — and the whole run must end with an acyclic lock
 order and zero unguarded accesses.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis.racecheck import checking
-from repro.core.executor import ParallelExecutor
 from repro.core.partitioned import PartitionedOracle
 from repro.core.status_oracle import CommitRequest
 from repro.server import ReplicatedFrontend
 from repro.server.frontend import OracleFrontend
+from repro.wal.bookkeeper import BookKeeperWAL
 
 PARTS = 4
+THREADS = 4
 
 
-def cross_requests(oracle, n, tag):
-    """n commit requests whose write sets straddle partitions."""
-    return [
-        CommitRequest(
-            oracle.begin(),
-            write_set=frozenset({f"{tag}-a{i}", f"{tag}-b{i}", f"{tag}-c{i}"}),
+def test_frontend_and_wal_over_partitioned_backend_run_clean():
+    with checking() as rc:
+        wal = BookKeeperWAL()
+        frontend = OracleFrontend(
+            PartitionedOracle(num_partitions=PARTS), max_batch=8, wal=wal
         )
-        for i in range(n)
-    ]
-
-
-def test_parallel_executor_protocol_rounds_run_clean():
-    executor = ParallelExecutor(max_workers=PARTS)
-    try:
-        with checking() as rc:
-            oracle = PartitionedOracle(
-                num_partitions=PARTS,
-                executor=executor,
-                round_latency=0.0002,  # forces the executor fan-out
-            )
-            for batch in range(6):
-                results = oracle.decide_batch(
-                    cross_requests(oracle, 16, f"b{batch}")
+        requests = [
+            [
+                CommitRequest(
+                    frontend.begin(),
+                    write_set=frozenset({f"t{t}-a{i}", f"t{t}-b{i}"}),
                 )
-                assert len(results) == 16
-        # checking() already asserted clean; prove the instrumentation
-        # actually saw the shard locks from the pool threads.
-        assert rc.acquisitions > 0
-        assert not rc.violations
-    finally:
-        executor.shutdown()
+                for i in range(16)
+            ]
+            for t in range(THREADS)
+        ]
+        futures = []
+        client_lock = rc.lock("client")
 
+        def session(batch):
+            # One client thread: submit, and force a flush now and then,
+            # so batches mix requests of several threads.
+            for i, request in enumerate(batch):
+                with client_lock:
+                    futures.append(frontend.submit_commit(request))
+                    if i % 5 == 4:
+                        frontend.flush()
 
-def test_frontend_over_parallel_partitioned_backend_runs_clean():
-    executor = ParallelExecutor(max_workers=PARTS)
-    try:
-        with checking() as rc:
-            oracle = PartitionedOracle(
-                num_partitions=PARTS,
-                executor=executor,
-                round_latency=0.0002,
-            )
-            frontend = OracleFrontend(oracle, max_batch=8)
-            futures = []
-            for i in range(32):
-                futures.append(
-                    frontend.submit_commit(
-                        CommitRequest(
-                            frontend.begin(),
-                            write_set=frozenset({f"x{i}", f"y{i}"}),
-                        )
-                    )
-                )
-            frontend.flush()
-            assert all(f.done for f in futures)
-        assert rc.acquisitions > 0
-    finally:
-        executor.shutdown()
+        threads = [
+            threading.Thread(target=session, args=(batch,))
+            for batch in requests
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        frontend.flush()
+        wal.flush()
+        assert len(futures) == THREADS * 16
+        assert all(f.outcome() == "committed" for f in futures)
+    # checking() already asserted clean; prove the instrumentation
+    # actually saw the frontend and WAL locks.
+    assert rc.acquisitions > 0
+    assert not rc.violations
 
 
 def test_ha_failover_paths_run_clean():

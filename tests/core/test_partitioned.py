@@ -45,6 +45,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             PartitionedOracle(num_partitions=0)
 
+    def test_executor_keyword_accepts_only_serial(self):
+        PartitionedOracle(executor="serial")
+        PartitionedOracle(executor=None)
+        with pytest.raises(ValueError, match="executor"):
+            PartitionedOracle(executor="parallel")
+
     def test_close(self):
         oracle = PartitionedOracle()
         oracle.close()
@@ -144,40 +150,6 @@ class TestCrossPartition:
             == seq.cross_partition_fraction()
             == 0.5
         )
-
-
-class TestBatchProtocolRounds:
-    def test_one_round_per_involved_partition_per_flush(self):
-        oracle = PartitionedOracle(level="si", num_partitions=4)
-        starts = [oracle.begin() for _ in range(6)]
-        # Three cross requests over partitions {0,1}, {1,2}, {2,3} plus
-        # three single-partition requests on partition 0.
-        items = [
-            req(starts[0], writes={0, 1}),
-            req(starts[1], writes={5, 6}),
-            req(starts[2], writes={10, 11}),
-            req(starts[3], writes={4}),
-            req(starts[4], writes={8}),
-            req(starts[5], writes={12}),
-        ]
-        oracle.decide_batch(items)
-        rounds = oracle.last_flush_rounds
-        assert rounds.flushes == 1
-        assert rounds.cross_requests == 3
-        assert rounds.single_requests == 3
-        # Every partition was involved exactly once per phase — not once
-        # per request.
-        assert rounds.check_rounds == 4
-        assert rounds.install_rounds == 4
-        assert oracle.round_stats.check_rounds == 4
-
-    def test_rounds_accumulate_across_flushes(self):
-        oracle = PartitionedOracle(level="si", num_partitions=2)
-        for _ in range(3):
-            oracle.decide_batch([req(oracle.begin(), writes={0, 1})])
-        assert oracle.round_stats.flushes == 3
-        assert oracle.round_stats.check_rounds == 6
-        assert oracle.round_stats.cross_requests == 3
 
 
 class TestDifferentialEquivalence:

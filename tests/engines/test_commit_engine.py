@@ -16,9 +16,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.frontend_bench import sequential_decide
 from repro.core.engine import ENGINE_KINDS, CommitEngine, make_engine
 from repro.core.errors import OracleClosed
-from repro.core.status_oracle import CLIENT_ABORT, CommitRequest, StatusOracle
+from repro.core.partitioned import PartitionedOracle
+from repro.core.status_oracle import (
+    CLIENT_ABORT,
+    CommitRequest,
+    CommitResult,
+    StatusOracle,
+    make_oracle,
+)
 from repro.server import OracleFrontend
 from repro.wal.bookkeeper import BookKeeperWAL
 
@@ -161,6 +169,112 @@ class TestDecisionContract:
         if lease is not None:
             lo, hi = lease(16)
             assert hi - lo == 15
+
+
+# ----------------------------------------------------------------------
+# the default batch decision: one commit()/abort() call per item
+# ----------------------------------------------------------------------
+
+#: engines deciding batches with CommitEngine's default loop: the
+#: partitioned oracle inherits it, a monolithic oracle gets it through
+#: the benchmark baseline hook.
+BASE_LOOP_ENGINES = {
+    "partitioned-dict": lambda: PartitionedOracle(
+        level="wsi", num_partitions=3, lastcommit="dict"
+    ),
+    "partitioned-array": lambda: PartitionedOracle(
+        level="wsi", num_partitions=3, lastcommit="array"
+    ),
+    "oracle-wsi": lambda: make_oracle("wsi"),
+    "oracle-si": lambda: make_oracle("si"),
+}
+
+
+@pytest.fixture(params=sorted(BASE_LOOP_ENGINES))
+def base_loop_twins(request):
+    """(engine deciding through the base loop, its sequential twin)."""
+    build = BASE_LOOP_ENGINES[request.param]
+    return sequential_decide(build()), build()
+
+
+def _mixed_items(engine, bad_start=None):
+    """Commits (single- and cross-partition), a conflict loser, a
+    read-only request, a client abort and — given ``bad_start``, a
+    committed transaction's start — an abort that must raise."""
+    starts = [engine.begin() for _ in range(6)]
+    items = [
+        req(starts[0], writes=[0, 1, 2]),
+        req(starts[1], writes=[1], reads=[1]),  # loses to starts[0]
+        req(starts[2], writes=[4]),
+        starts[3],  # client abort
+        req(starts[4], reads=[7]),  # read-only
+        req(starts[5], writes=[5, 9], reads=[5]),
+    ]
+    if bad_start is not None:
+        items.insert(3, bad_start)
+    return items
+
+
+def _sequential(engine, items):
+    """Per-item commit()/abort() results; None where the call raised."""
+    results = []
+    for item in items:
+        if isinstance(item, int):
+            try:
+                engine.abort(item)
+            except ValueError:
+                results.append(None)
+                continue
+            results.append(CommitResult(False, item, reason=CLIENT_ABORT))
+        else:
+            results.append(engine.commit(item))
+    return results
+
+
+class TestDefaultBatchLoop:
+    def test_partitioned_oracle_inherits_the_default_loop(self):
+        assert PartitionedOracle._decide_batch is CommitEngine._decide_batch
+
+    def test_decide_batch_returns_the_per_item_results(self, base_loop_twins):
+        engine, twin = base_loop_twins
+        results = engine.decide_batch(_mixed_items(engine))
+        expected = _sequential(twin, _mixed_items(twin))
+        assert len(results) == 6
+        assert results == expected
+        assert [r.committed for r in results] == [
+            True, False, True, False, True, True,
+        ]
+        assert engine.stats == twin.stats
+
+    def test_a_raising_item_gets_none_and_the_rest_decide(
+        self, base_loop_twins
+    ):
+        engine, twin = base_loop_twins
+        done = []
+        for target in (engine, twin):
+            start = target.begin()
+            assert target.commit(req(start, writes=[8])).committed
+            done.append(start)
+        items = _mixed_items(engine, bad_start=done[0])
+        payload_commits, payload_aborts, errors, results = [], [], [], []
+        commits, aborts, rows_checked, rows_updated = engine._decide_batch(
+            items, payload_commits, payload_aborts, errors, results
+        )
+        expected = _sequential(twin, _mixed_items(twin, bad_start=done[1]))
+        assert results == expected
+        assert results[3] is None
+        assert [start for start, _ in errors] == [done[0]]
+        assert isinstance(errors[0][1], ValueError)
+        assert (commits, aborts) == (4, 2)
+        assert payload_aborts == [items[1].start_ts, items[4]]
+        assert [p[:2] for p in payload_commits] == [
+            (r.start_ts, r.commit_ts)
+            for r in expected
+            if r is not None and r.commit_ts is not None
+        ]
+        assert rows_updated == 3 + 1 + 2
+        assert rows_checked > 0
+        assert engine.stats == twin.stats
 
 
 # ----------------------------------------------------------------------

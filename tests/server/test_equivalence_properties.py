@@ -300,7 +300,7 @@ def assert_same_partitioned_state(oracle, reference):
 def test_decide_batch_partitioned_equivalence(
     batches, num_partitions, level, lastcommit
 ):
-    # The batch protocol over either lastCommit store ≡ the sequential
+    # The batched path over either lastCommit store ≡ the sequential
     # path over the dict store.
     oracle = PartitionedOracle(
         level=level, num_partitions=num_partitions, lastcommit=lastcommit
@@ -313,15 +313,15 @@ def test_decide_batch_partitioned_equivalence(
 
 
 # ----------------------------------------------------------------------
-# mixed single/cross batches: the cross-partition batch protocol
+# mixed single/cross batches
 # ----------------------------------------------------------------------
 #
 # Rows are integers constructed per target shard (stable_hash maps an
 # integer to itself, so ``shard + k * PARTS`` lands exactly on
 # ``shard``): each generated footprint is explicitly partition-aligned
 # or explicitly spanning, so every batch genuinely mixes
-# single-partition runs with cross-partition members — the shape the
-# batch protocol decides with one bulk round per partition per flush.
+# single-partition requests with cross-partition members — both
+# branches of the partitioned engine's commit().
 
 PARTS = 3
 
@@ -410,8 +410,8 @@ def test_decide_batch_mid_batch_errors_isolated(
     # Commit-table protocol errors (aborting an already-committed
     # transaction) mid-batch must be isolated to the offending request:
     # the rest of the batch decides exactly as if the bad item were
-    # skipped, and the first error re-raises afterwards — for the batch
-    # protocol (either lastCommit store) against the sequential path
+    # skipped, and the first error re-raises afterwards — for the
+    # batched path (either lastCommit store) against the sequential path
     # over the dict store.
     oracle = PartitionedOracle(
         level=level, num_partitions=num_partitions, lastcommit=lastcommit
@@ -539,81 +539,31 @@ def test_decide_batch_wal_replay_equivalence(batches, bounded, level):
 
 
 # ----------------------------------------------------------------------
-# executor equivalence: ParallelExecutor ≡ SerialExecutor
+# partitioned ≡ monolithic sequential reference
 # ----------------------------------------------------------------------
 #
-# The executor choice is performance policy only: fanning the protocol's
-# per-partition rounds over a thread pool must decide *exactly* what the
-# inline serial rounds decide — same decisions, commit timestamps,
-# lastCommit shards, commit table, stats, round counters — including
-# when a commit-table protocol error escapes mid-batch, and in what the
-# group-commit WAL replays to.  One pool is shared across examples
-# (module fixture) so hypothesis isn't churning thread pools; it is a
-# passed-in instance, so oracles never shut it down.
-
-
-@pytest.fixture(scope="module")
-def parallel_executor():
-    from repro.core.executor import ParallelExecutor
-
-    executor = ParallelExecutor(max_workers=PARTS)
-    yield executor
-    executor.shutdown()
-
-
-@given(
-    batches=mixed_partition_batches(),
-    num_partitions=st.sampled_from([1, 2, PARTS]),
-    level=st.sampled_from(["si", "wsi"]),
-)
-@settings(max_examples=100, deadline=None)
-def test_decide_batch_parallel_executor_equals_serial(
-    parallel_executor, batches, num_partitions, level
-):
-    parallel = PartitionedOracle(
-        level=level, num_partitions=num_partitions, executor=parallel_executor
-    )
-    serial = PartitionedOracle(
-        level=level, num_partitions=num_partitions, executor="serial"
-    )
-    # CommitResult equality covers decisions, commit timestamps, reasons
-    # and conflict rows; the state check covers everything else.
-    assert run_batched(parallel, batches) == run_batched(serial, batches)
-    assert_same_partitioned_state(parallel, serial)
-
-    # Round accounting matches too — executor wall-clock legitimately
-    # differs, every counter must not.
-    def counters(rounds):
-        return (
-            rounds.flushes,
-            rounds.check_rounds,
-            rounds.install_rounds,
-            rounds.single_requests,
-            rounds.cross_requests,
-            rounds.max_partition_rounds,
-        )
-
-    assert counters(parallel.round_stats) == counters(serial.round_stats)
+# The partitioned engine batches with the same commit() loop its
+# sequential path runs, so its batched ≡ sequential properties above pin
+# the array store against the dict store; this one pins the engine
+# itself against the *monolithic* oracle (commit()/abort() per item):
+# partitioning never changes decisions, commit timestamps, the union of
+# the lastCommit shards or the commit table.
 
 
 @given(
     batches=mixed_partition_batches(),
     level=st.sampled_from(["si", "wsi"]),
+    lastcommit=st.sampled_from(["dict", "array"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_parallel_executor_equals_sequential_monolith(
-    parallel_executor, batches, level
-):
-    # Transitivity made explicit for both isolation levels: the
-    # parallel-executor partitioned oracle against the *monolithic*
-    # sequential reference (commit()/abort() per item).
-    parallel = PartitionedOracle(
-        level=level, num_partitions=PARTS, executor=parallel_executor
+def test_partitioned_equals_sequential_monolith(batches, level, lastcommit):
+    partitioned = PartitionedOracle(
+        level=level, num_partitions=PARTS, lastcommit=lastcommit
     )
     reference = make_oracle(level)
     decisions = [
         (r.committed, r.start_ts, r.commit_ts, r.reason)
-        for r in run_batched(parallel, batches)
+        for r in run_batched(partitioned, batches)
     ]
     expected = [
         (r.committed, r.start_ts, r.commit_ts, r.reason)
@@ -621,120 +571,11 @@ def test_parallel_executor_equals_sequential_monolith(
     ]
     assert decisions == expected
     union = {}
-    for partition in parallel.partitions:
-        union.update(partition._last_commit)
+    for partition in partitioned.partitions:
+        union.update(partition._last_commit.items())
     assert union == reference._last_commit
-    assert parallel.commit_table._commits == reference.commit_table._commits
-    assert parallel.commit_table._aborted == reference.commit_table._aborted
-
-
-@given(
-    batches=mixed_partition_batches(),
-    num_partitions=st.sampled_from([2, PARTS]),
-    level=st.sampled_from(["si", "wsi"]),
-    bad_positions=st.sets(st.integers(min_value=0, max_value=9), max_size=2),
-)
-@settings(max_examples=50, deadline=None)
-def test_parallel_executor_mid_batch_errors_isolated(
-    parallel_executor, batches, num_partitions, level, bad_positions
-):
-    # The commit-table protocol error escapes from the coordinator's
-    # merge pass; the executor phases around it (validation ran before,
-    # the install fan-out still lands the staged prefix) must leave the
-    # same state the serial engine leaves.
-    parallel = PartitionedOracle(
-        level=level, num_partitions=num_partitions, executor=parallel_executor
-    )
-    serial = PartitionedOracle(
-        level=level, num_partitions=num_partitions, executor="serial"
-    )
-
-    committed_req = CommitRequest(
-        parallel.begin(), write_set=frozenset([0, 1, PARTS])
-    )
-    assert parallel.commit(committed_req).committed
-    ref_req = CommitRequest(
-        serial.begin(), write_set=frozenset([0, 1, PARTS])
-    )
-    assert serial.commit(ref_req).committed
-    bad_start = committed_req.start_ts
-
-    for batch in batches:
-        items, ref_items = [], []
-        for i, (reads, writes, client_abort) in enumerate(batch):
-            start = parallel.begin()
-            ref_start = serial.begin()
-            if i in bad_positions:
-                items.append(bad_start)
-                ref_items.append(bad_start)
-            elif client_abort:
-                items.append(start)
-                ref_items.append(ref_start)
-            else:
-                items.append(
-                    CommitRequest(start, write_set=writes, read_set=reads)
-                )
-                ref_items.append(
-                    CommitRequest(ref_start, write_set=writes, read_set=reads)
-                )
-        expect_error = any(i < len(batch) for i in bad_positions)
-        if expect_error:
-            with pytest.raises(ValueError, match="already committed"):
-                parallel.decide_batch(items)
-            with pytest.raises(ValueError, match="already committed"):
-                serial.decide_batch(ref_items)
-        else:
-            assert parallel.decide_batch(items) == serial.decide_batch(
-                ref_items
-            )
-    assert_same_partitioned_state(parallel, serial)
-
-
-@given(
-    batches=mixed_partition_batches(),
-    num_partitions=st.sampled_from([2, PARTS]),
-    level=st.sampled_from(["si", "wsi"]),
-    max_batch=st.integers(min_value=1, max_value=8),
-    bounded=st.booleans(),
-)
-@settings(max_examples=40, deadline=None)
-def test_parallel_executor_group_commit_wal_replay(
-    parallel_executor, batches, num_partitions, level, max_batch, bounded
-):
-    # Durability leg: a frontend over the parallel-executor oracle must
-    # write a group-commit WAL that replays — onto a monolithic or a
-    # bounded oracle — to exactly what the serial-executor run's WAL
-    # replays to.
-    def drive(executor):
-        wal = BookKeeperWAL()
-        oracle = PartitionedOracle(
-            level=level, num_partitions=num_partitions, executor=executor
-        )
-        frontend = OracleFrontend(oracle, max_batch=max_batch, wal=wal)
-        for batch in batches:
-            for reads, writes, client_abort in batch:
-                start = frontend.begin()
-                if client_abort:
-                    frontend.submit_abort(start)
-                else:
-                    frontend.submit_commit(
-                        CommitRequest(start, write_set=writes, read_set=reads)
-                    )
-            frontend.flush()
-        frontend.close()
-        wal.flush()
-        kwargs = {"bounded": True, "max_rows": 4} if bounded else {}
-        recovered = make_oracle(level, **kwargs)
-        recovered.recover_from(wal)
-        return oracle, recovered
-
-    oracle_par, from_par = drive(parallel_executor)
-    oracle_ser, from_ser = drive("serial")
-    assert_same_partitioned_state(oracle_par, oracle_ser)
-    assert dict(from_par._last_commit) == dict(from_ser._last_commit)
-    assert from_par.commit_table._commits == from_ser.commit_table._commits
-    assert from_par.commit_table._aborted == from_ser.commit_table._aborted
-    assert from_par.begin() == from_ser.begin()
+    assert partitioned.commit_table._commits == reference.commit_table._commits
+    assert partitioned.commit_table._aborted == reference.commit_table._aborted
 
 
 # ----------------------------------------------------------------------

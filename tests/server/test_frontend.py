@@ -823,41 +823,6 @@ class TestFutureStateParity:
             assert future._result is not None
 
 
-class TestProtocolRounds:
-    def test_partitioned_flush_reports_rounds(self):
-        oracle = PartitionedOracle(level="wsi", num_partitions=4)
-        frontend = OracleFrontend(oracle, max_batch=8, wal=BookKeeperWAL())
-        cells = []
-        frontend.on_flush(cells.append)
-        t1, t2 = frontend.begin(), frontend.begin()
-        # WSI checks the read set, so read what is written.
-        frontend.submit_commit(
-            req(t1, writes={0, 1, 2, 3}, reads={0, 1, 2, 3})  # all 4 shards
-        )
-        frontend.submit_commit(req(t2, writes={4}, reads={4}))  # shard 0
-        frontend.flush()
-        (cell,) = cells
-        rounds = cell.protocol_rounds
-        assert rounds is not None
-        assert rounds.cross_requests == 1
-        assert rounds.single_requests == 1
-        assert rounds.check_rounds == 4
-        assert rounds.install_rounds == 4
-        stats = frontend.stats
-        assert stats.partition_check_rounds == 4
-        assert stats.partition_install_rounds == 4
-        assert stats.cross_partition_requests == 1
-
-    def test_monolithic_flush_reports_none(self):
-        frontend, _, _ = make_frontend(max_batch=8)
-        cells = []
-        frontend.on_flush(cells.append)
-        frontend.submit_commit(req(frontend.begin(), writes={"a"}))
-        frontend.flush()
-        assert cells[0].protocol_rounds is None
-        assert frontend.stats.partition_check_rounds == 0
-
-
 class TestFutureArena:
     """The CommitFuture freelist behind submit_commit_pooled (the
     allocation-free ingest path).  A recycled future must be
