@@ -56,7 +56,9 @@ bench-smoke:
 ## The begin/recover no-reuse pins and the HA failover pins (warm
 ## takeover, crash-mid-batch retry, no timestamp reuse across leaders)
 ## ride in every salted run; the explicit last pair keeps them covered
-## even if the fast-suite marker set ever changes.
+## even if the fast-suite marker set ever changes, together with the
+## WAL-replay pins (cold recovery, and the apply kernel against the
+## per-decision rule it replaced).
 ## Finally the REPRO_ENGINE axis: the serving-stack suites (engines,
 ## server, sim, coord) once per non-default commit protocol, so the
 ## batched/HA/sim layers stay protocol-agnostic — every entry point
@@ -80,10 +82,12 @@ check:
 		tests/engines tests/server tests/sim tests/coord
 	PYTHONHASHSEED=0 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
-		tests/coord/test_failover.py tests/server/test_ha.py
+		tests/coord/test_failover.py tests/server/test_ha.py \
+		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 	PYTHONHASHSEED=31337 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
-		tests/coord/test_failover.py tests/server/test_ha.py
+		tests/coord/test_failover.py tests/server/test_ha.py \
+		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 
 ## cProfile the batch-decide frontend microbench and print the top-20
 ## functions by cumulative time (where the critical section spends it),
@@ -98,11 +102,15 @@ check:
 ## through TransactionManager; us per begin / read / write / commit,
 ## reads and writes per transaction, versions examined per read and the
 ## abort rate — the traffic a change to the read path is sized against.
+## Then the recovery path: a batch-32 group-commit log built through the
+## real OracleFrontend, replayed cold (recover_from) and by a warm
+## standby's catch_up; us per replayed decision and decisions per record.
 profile:
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-e24
 	PYTHONPATH=src python -m repro.bench.frontend_bench --profile-gc
 	PYTHONPATH=src python -m repro.bench.harness --profile-txn
+	PYTHONPATH=src python -m repro.bench.harness --profile-recovery
 
 ## Lines of Python in src/repro per package, plus the total: the
 ## "lines removed from src/ at equal bars" metric of ROADMAP aim 2.

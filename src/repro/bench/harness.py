@@ -16,6 +16,7 @@ threading, so results are deterministic.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from time import perf_counter_ns
@@ -272,10 +273,104 @@ def profile_transactions(
     )
 
 
+# ----------------------------------------------------------------------
+# `make profile`, fifth leg: what replaying the log costs per decision
+# ----------------------------------------------------------------------
+def _timed_ns(fn) -> int:
+    """Wall-clock of one ``fn()`` call with the collector paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = perf_counter_ns()
+        fn()
+        return perf_counter_ns() - t0
+    finally:
+        gc.enable()
+
+
+def profile_recovery(
+    decisions: int = 100_000,
+    keyspace: int = 200_000,
+    batch: int = 32,
+    repeats: int = 3,
+    seed: int = 1,
+) -> Dict[str, float]:
+    """Print (and return) what cold recovery and warm catch-up cost per
+    replayed decision.
+
+    Builds a group-commit log through the real serving path: a
+    :class:`~repro.coord.failover.OracleHost` leader's WSI oracle behind
+    an :class:`~repro.server.OracleFrontend` with ``max_batch=batch``,
+    fed ``decisions`` uniform requests (2-4 reads, 1-3 writes over
+    ``keyspace`` rows) whose begins precede their batch.  Then times,
+    best of ``repeats``, a cold ``recover_from`` into a fresh engine and
+    one warm ``OracleHost.catch_up`` that polls the whole log into a
+    fresh standby.  Both run the engine's ``apply_wal_record`` once per
+    record — the loop ``recovery.replay_us_per_record`` and
+    ``ha.catch_up_us`` measure end to end.
+    """
+    from repro.coord.failover import OracleHost
+    from repro.coord.zookeeper import ZooKeeper
+    from repro.core.engine import make_engine
+    from repro.core.status_oracle import CommitRequest
+    from repro.server.frontend import OracleFrontend
+    from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
+
+    wal = BookKeeperWAL()
+    zk = ZooKeeper()
+    leader = OracleHost(0, zk, wal)
+    engine = leader.oracle
+    frontend = OracleFrontend(engine, max_batch=batch)
+    rng = random.Random(seed)
+    rows = range(keyspace)
+    for _ in range(decisions // batch):
+        for start in [frontend.begin() for _ in range(batch)]:
+            frontend.submit_commit_nowait(CommitRequest(
+                start,
+                write_set=frozenset(rng.sample(rows, rng.randint(1, 3))),
+                read_set=frozenset(rng.sample(rows, rng.randint(2, 4))),
+            ))
+    frontend.flush()
+    wal.flush()
+
+    groups = [r.payload for r in wal.replay() if r.kind == GROUP_COMMIT_RECORD]
+    records = len(groups)
+    decided = sum(len(commits) + len(aborts) for commits, aborts in groups)
+
+    def cold() -> None:
+        fresh = make_engine(leader.engine, level=leader.level)
+        fresh.recover_from(wal)
+
+    cold_ns = min(_timed_ns(cold) for _ in range(repeats))
+    warm_ns = min(
+        _timed_ns(OracleHost(1 + i, zk, wal, warm=True).catch_up)
+        for i in range(repeats)
+    )
+    out = {
+        "cold_us_per_decision": cold_ns / 1e3 / decided,
+        "warm_us_per_decision": warm_ns / 1e3 / decided,
+        "decisions_per_record": decided / records,
+    }
+    print(
+        f"recovery profile: {decided} decisions in {records} decision "
+        f"records (batch {batch}, {engine.stats.aborts} aborts), "
+        f"{type(engine).__name__}, best of {repeats}"
+    )
+    print(f"  cold recover_from  {out['cold_us_per_decision']:6.2f} us/decision")
+    print(f"  warm catch_up      {out['warm_us_per_decision']:6.2f} us/decision")
+    print(f"  decisions/record   {out['decisions_per_record']:6.2f}")
+    return out
+
+
 if __name__ == "__main__":  # pragma: no cover - `make profile` entry point
     import sys
 
     if "--profile-txn" in sys.argv:
         profile_transactions()
+    elif "--profile-recovery" in sys.argv:
+        profile_recovery()
     else:
-        sys.exit("usage: python -m repro.bench.harness --profile-txn")
+        sys.exit(
+            "usage: python -m repro.bench.harness "
+            "--profile-txn | --profile-recovery"
+        )

@@ -52,8 +52,13 @@ Decisions
 Durability and recovery
     ``_wal`` is the engine-owned write-ahead log (or ``None`` when a
     frontend logs on the engine's behalf — one group-commit record
-    per flush).  ``apply_wal_record(record) -> int`` applies one
-    durable record and returns the highest timestamp it mentions;
+    per flush).  ``apply_wal_record(record) -> int`` (inherited: the
+    one record-kind dispatch) applies one durable record through the
+    engine's ``_apply_decisions`` hook and returns the highest
+    timestamp it mentions; the hook's default records each decision
+    in the commit table and hands a commit's rows to
+    ``_replay_rows(rows, commit_ts, start_ts)``, so an engine
+    supplies only its row-state body;
     ``recover_from(wal)`` replays a log through it;
     ``seal_recovery(max_ts)`` re-seeds the timestamp oracle above
     everything recovered.  These three are what make an engine
@@ -90,7 +95,8 @@ from __future__ import annotations
 import os
 from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.core.errors import OracleClosed
+from repro.core.errors import OracleClosed, RecoveryError
+from repro.wal.bookkeeper import GROUP_COMMIT_RECORD
 
 #: Engine kinds :func:`make_engine` understands.
 ENGINE_KINDS = ("oracle", "percolator", "ssi")
@@ -262,9 +268,81 @@ class CommitEngine:
         return results
 
     # ------------------------------------------------------------------
-    # durability / recovery (shared template over the per-record hook)
+    # durability / recovery (shared templates over one per-engine hook)
     # ------------------------------------------------------------------
     def apply_wal_record(self, record) -> int:
+        """Apply one durable WAL record; return the highest timestamp it
+        mentions (the caller's running recovery floor).
+
+        This is the single record-application authority, and the only
+        record-kind dispatch: :meth:`recover_from` loops it over a full
+        replay, and a *warm standby*
+        (:class:`~repro.coord.failover.OracleHost` tailing the leader's
+        WAL through a :class:`~repro.wal.bookkeeper.WALTail`) applies
+        records incrementally as they become durable — identical state
+        either way, which is what makes an O(delta) takeover safe.  A
+        standby that has been applying records must still call
+        :meth:`seal_recovery` before serving.
+
+        A group-commit record carries one frontend flush's decisions; a
+        ``"commit"`` / ``"abort"`` record is the one-decision case of
+        the same thing.  Both go to :meth:`_apply_decisions`, the
+        engine's hook; ``"ts-reserve"`` marks only move the floor.  The
+        status oracle's hook is one inlined kernel over the record's
+        decisions, taken on a plain ``dict`` store with no commit-table
+        subscribers (see
+        :meth:`~repro.core.status_oracle.StatusOracle._apply_decisions`);
+        every other case runs the hook-faithful default below.
+
+        Every engine keeps the per-row ``max`` rule: a row's state only
+        moves forward, to a greater commit timestamp.  A single
+        leader's log never needs it, but a duplicated record or a
+        standby re-applying what it already polled must change nothing —
+        row state that moved backwards would admit a conflict the
+        engine had already seen.
+        """
+        kind = record.kind
+        if kind == GROUP_COMMIT_RECORD:
+            commits, aborts = record.payload
+            return self._apply_decisions(commits, aborts)
+        if kind == "commit":
+            return self._apply_decisions((record.payload,), ())
+        if kind == "abort":
+            return self._apply_decisions((), record.payload)
+        if kind == "ts-reserve":
+            return record.payload
+        raise RecoveryError(f"unknown WAL record kind {record.kind!r}")
+
+    def _apply_decisions(self, commits, aborts) -> int:
+        """Apply a record's decisions in log order — ``commits`` as
+        ``(start_ts, commit_ts, rows)``, then ``aborts`` as start
+        timestamps — and return the highest timestamp among them (0 for
+        none).
+
+        This default goes through the commit table's record methods, so
+        subscribed replicas see every decision, and hands each commit's
+        rows to :meth:`_replay_rows`, the engine's row-state body.  A
+        re-applied abort is skipped; a re-applied commit re-records the
+        same mapping, and ``_replay_rows`` must be idempotent too.
+        """
+        ct = self.commit_table
+        replay_rows = self._replay_rows
+        max_ts = 0
+        for start_ts, commit_ts, rows in commits:
+            ct.record_commit(start_ts, commit_ts)
+            replay_rows(rows, commit_ts, start_ts)
+            if commit_ts > max_ts:
+                max_ts = commit_ts
+        for start_ts in aborts:
+            if not ct.is_aborted(start_ts):
+                ct.record_abort(start_ts)
+            if start_ts > max_ts:
+                max_ts = start_ts
+        return max_ts
+
+    def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
+        """Install one recovered commit's rows into the engine's row
+        state (``lastCommit``, a write column, ...)."""
         raise NotImplementedError
 
     def seal_recovery(self, max_recovered_ts: int) -> None:
@@ -284,10 +362,13 @@ class CommitEngine:
         wants to report (a second counting replay would double recovery
         time).
         """
+        apply = self.apply_wal_record
         max_ts = 0
         replayed = 0
         for record in wal.replay():
-            max_ts = max(max_ts, self.apply_wal_record(record))
+            ts = apply(record)
+            if ts > max_ts:
+                max_ts = ts
             replayed += 1
         self.seal_recovery(max_ts)
         return replayed

@@ -75,10 +75,10 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tup
 
 from repro.core.commit_table import CommitTable
 from repro.core.engine import CommitEngine
-from repro.core.errors import OracleClosed, RecoveryError
+from repro.core.errors import OracleClosed
 from repro.core.lastcommit import ArrayLastCommit, make_lastcommit
 from repro.core.timestamps import TimestampOracle
-from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
+from repro.wal.bookkeeper import BookKeeperWAL
 
 RowKey = Hashable
 
@@ -971,55 +971,71 @@ class StatusOracle(CommitEngine):
             self._wal.append("ts-reserve", high_water, size=8)
             self._wal.flush()
 
-    def apply_wal_record(self, record) -> int:
-        """Apply one durable WAL record to this oracle's in-memory state.
+    def _apply_decisions(self, commits, aborts) -> int:
+        """The WAL-apply kernel: one inlined pass over a record's decisions.
 
-        Returns the highest timestamp the record mentions, so the caller
-        can track the recovery floor across records.  This is the single
-        record-application authority: :meth:`recover_from` loops it over
-        a full replay, and a *warm standby*
-        (:class:`~repro.coord.failover.OracleHost` tailing the leader's
-        WAL through a :class:`~repro.wal.bookkeeper.WALTail`) applies
-        records incrementally as they become durable — identical state
-        either way, which is what makes an O(delta) takeover safe.
-        A standby that has been applying records must still call
-        :meth:`seal_recovery` before serving.
+        Cold recovery, warm catch-up and the warm takeover's final poll
+        all land here (through the inherited
+        :meth:`~repro.core.engine.CommitEngine.apply_wal_record`), one
+        call per record — a group-commit record's whole flush, or the
+        one decision of a ``"commit"`` / ``"abort"`` record.  The pass
+        binds ``lastCommit`` and the commit table's mapping and abort
+        set once, and is observationally the per-decision
+        ``record_commit`` / ``record_abort`` + per-row install it
+        replaces:
+
+        * both ``record_commit`` checks run inline, in its order —
+          commit after abort, then ``commit_ts <= start_ts`` — and on a
+          failed check the commit table itself raises its
+          ``ValueError``, before the decision touches any state, with
+          the record's earlier decisions applied (the same partial
+          effects as the per-decision calls); a commit-then-abort
+          raises the same way from ``record_abort``;
+        * the per-row ``max`` rule stays (see ``apply_wal_record``): a
+          row's entry is written only when ``commit_ts`` is greater, so
+          duplicated or re-polled records are idempotent.
+
+        The kernel runs under exactly ``_decide_batch_fast``'s guard: a
+        plain ``dict`` store and no commit-table subscribers.  Anything
+        else — a subscribed replica, the array store, the bounded LRU
+        store — takes the hook-faithful default (the commit table's
+        record methods, so every subscriber sees every decision, and
+        :meth:`_replay_rows` per commit).
         """
-        kind = record.kind
-        if kind == "commit":
-            start_ts, commit_ts, rows = record.payload
-            return self._apply_recovered_commit(start_ts, commit_ts, rows)
-        if kind == "abort":
-            (start_ts,) = record.payload
-            return self._apply_recovered_abort(start_ts)
-        if kind == GROUP_COMMIT_RECORD:
-            # One record per frontend batch (repro.server): replay its
-            # decisions in order, exactly as the per-record path would.
-            max_ts = 0
-            commits, aborts = record.payload
-            for start_ts, commit_ts, rows in commits:
-                max_ts = max(
-                    max_ts, self._apply_recovered_commit(start_ts, commit_ts, rows)
-                )
-            for start_ts in aborts:
-                max_ts = max(max_ts, self._apply_recovered_abort(start_ts))
-            return max_ts
-        if kind == "ts-reserve":
-            return record.payload
-        raise RecoveryError(f"unknown WAL record kind {record.kind!r}")
+        lc = self._last_commit
+        ct = self.commit_table
+        if lc.__class__ is not dict or ct._subscribers:
+            return super()._apply_decisions(commits, aborts)
+        lc_get = lc.get
+        ct_commits = ct._commits
+        ct_aborted = ct._aborted
+        max_ts = 0
+        for start, cts, rows in commits:
+            if start in ct_aborted or cts <= start:
+                ct.record_commit(start, cts)  # raises record_commit's error
+            ct_commits[start] = cts
+            for row in rows:
+                if cts > lc_get(row, 0):
+                    lc[row] = cts
+            if cts > max_ts:
+                max_ts = cts
+        for start in aborts:
+            if start not in ct_aborted:
+                if start in ct_commits:
+                    ct.record_abort(start)  # raises record_abort's error
+                ct_aborted.add(start)
+            if start > max_ts:
+                max_ts = start
+        return max_ts
 
-    def _apply_recovered_commit(self, start_ts: int, commit_ts: int, rows) -> int:
-        self.commit_table.record_commit(start_ts, commit_ts)
-        last_commit = self._last_commit
+    def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
+        """The kernel's per-row ``max`` rule, through the store's own
+        mapping surface (array store, or a dict with subscribers)."""
+        lc = self._last_commit
+        lc_get = lc.get
         for row in rows:
-            prev = last_commit.get(row, 0)
-            last_commit[row] = max(prev, commit_ts)
-        return commit_ts
-
-    def _apply_recovered_abort(self, start_ts: int) -> int:
-        if not self.commit_table.is_aborted(start_ts):
-            self.commit_table.record_abort(start_ts)
-        return start_ts
+            if commit_ts > lc_get(row, 0):
+                lc[row] = commit_ts
 
     def seal_recovery(self, max_recovered_ts: int) -> None:
         """Re-seed the timestamp oracle after applying durable records.
@@ -1178,6 +1194,22 @@ class BoundedStatusOracle(StatusOracle):
                 _, evicted_ts = lc.popitem(last=False)
                 if evicted_ts > self.tmax:
                     self.tmax = evicted_ts
+
+    def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
+        """Replay keeps Algorithm 3's bound: the rows go through
+        :meth:`_install` (LRU order, eviction, ``tmax``), and a row is
+        skipped unless ``commit_ts`` exceeds what the oracle knows of it
+        — ``lastCommit(row)``, or ``tmax`` for an absent row, whose
+        evicted entry may be newer.  Re-applying a record therefore
+        changes nothing."""
+        lc_get = self._last_commit.get
+        tmax = self.tmax
+        newer = []
+        for row in rows:
+            last = lc_get(row)
+            if commit_ts > (tmax if last is None else last):
+                newer.append(row)
+        self._install(newer, commit_ts)
 
     def _decide_batch(self, batch, payload_commits, payload_aborts, errors,
                       results=None):

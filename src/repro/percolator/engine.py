@@ -55,7 +55,7 @@ from typing import Any, FrozenSet, List, Optional, Tuple
 
 from repro.core.commit_table import CommitTable
 from repro.core.engine import CommitEngine
-from repro.core.errors import OracleClosed, RecoveryError
+from repro.core.errors import OracleClosed
 from repro.core.status_oracle import (
     CLIENT_ABORT,
     CommitRequest,
@@ -70,7 +70,7 @@ from repro.percolator.percolator import (
     PercolatorTransactionManager,
     WriteRecord,
 )
-from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
+from repro.wal.bookkeeper import BookKeeperWAL
 
 
 class PercolatorEngine(CommitEngine):
@@ -502,33 +502,12 @@ class PercolatorEngine(CommitEngine):
             self._wal.append("ts-reserve", high_water, size=8)
             self._wal.flush()
 
-    def apply_wal_record(self, record) -> int:
-        """Apply one durable record: rebuild the write column and the
-        commit table (locks are volatile — a recovered engine starts
-        lock-free, exactly like a restarted Percolator tablet server)."""
-        kind = record.kind
-        if kind == "commit":
-            start_ts, commit_ts, rows = record.payload
-            return self._apply_recovered_commit(start_ts, commit_ts, rows)
-        if kind == "abort":
-            (start_ts,) = record.payload
-            return self._apply_recovered_abort(start_ts)
-        if kind == GROUP_COMMIT_RECORD:
-            max_ts = 0
-            commits, aborts = record.payload
-            for start_ts, commit_ts, rows in commits:
-                max_ts = max(
-                    max_ts, self._apply_recovered_commit(start_ts, commit_ts, rows)
-                )
-            for start_ts in aborts:
-                max_ts = max(max_ts, self._apply_recovered_abort(start_ts))
-            return max_ts
-        if kind == "ts-reserve":
-            return record.payload
-        raise RecoveryError(f"unknown WAL record kind {record.kind!r}")
-
-    def _apply_recovered_commit(self, start_ts: int, commit_ts: int, rows) -> int:
-        self.commit_table.record_commit(start_ts, commit_ts)
+    def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
+        """Rebuild one recovered commit's write-column entries (the commit
+        table is the inherited ``_apply_decisions``'s; locks are volatile
+        — a recovered engine starts lock-free, exactly like a restarted
+        Percolator tablet server).  A row only gains a record newer than
+        its last, so a re-applied record changes nothing."""
         writes = self._store.write_column
         for row in rows:
             records = writes.get(row)
@@ -536,12 +515,6 @@ class PercolatorEngine(CommitEngine):
                 writes[row] = array("q", (commit_ts, start_ts))
             elif commit_ts > records[-2]:
                 records.extend((commit_ts, start_ts))
-        return commit_ts
-
-    def _apply_recovered_abort(self, start_ts: int) -> int:
-        if not self.commit_table.is_aborted(start_ts):
-            self.commit_table.record_abort(start_ts)
-        return start_ts
 
     def seal_recovery(self, max_recovered_ts: int) -> None:
         """Re-seed the (shared) timestamp oracle above everything

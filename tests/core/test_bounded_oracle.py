@@ -224,3 +224,97 @@ class TestArrayBackendEquivalence:
         assert self._run("array", policy, batched=True) == self._run(
             "dict", policy, batched=True
         )
+
+
+class TestBoundedRecovery:
+    """WAL replay keeps Algorithm 3's bound: the log a bounded oracle
+    writes rebuilds its LRU window entry for entry, in LRU order, with
+    the same Tmax — cold (``recover_from``) or tailed by a standby."""
+
+    @staticmethod
+    def _state(oracle):
+        return list(oracle._last_commit.items()), oracle.tmax
+
+    @staticmethod
+    def _traffic(oracle, batched):
+        import random
+
+        rng = random.Random(11)
+        pending = []
+        for _ in range(120):
+            start = oracle.begin()
+            request = req(
+                start,
+                writes=rng.sample(range(24), rng.randint(1, 3)),
+                reads=rng.sample(range(24), rng.randint(0, 2)),
+            )
+            if batched:
+                pending.append(request)
+                if len(pending) == 8:
+                    oracle.decide_batch(pending)
+                    pending = []
+            else:
+                oracle.commit(request)
+            yield
+
+    @pytest.mark.parametrize("lastcommit", ["dict", "array"])
+    def test_cold_replay_of_two_row_commits(self, lastcommit):
+        from repro.core.status_oracle import make_oracle
+        from repro.wal.bookkeeper import BookKeeperWAL
+
+        wal = BookKeeperWAL()
+        live = make_oracle(
+            "wsi", bounded=True, max_rows=8, wal=wal, lastcommit=lastcommit
+        )
+        for i in range(40):
+            live.commit(req(live.begin(), writes={2 * i, 2 * i + 1}))
+        wal.flush()
+        assert len(live._last_commit) == 8 and live.tmax == 72
+        fresh = make_oracle(
+            "wsi", bounded=True, max_rows=8, lastcommit=lastcommit
+        )
+        fresh.recover_from(wal)
+        assert self._state(fresh) == self._state(live)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("lastcommit", ["dict", "array"])
+    def test_replay_rebuilds_the_window_and_is_idempotent(
+        self, lastcommit, batched
+    ):
+        from repro.core.status_oracle import make_oracle
+        from repro.wal.bookkeeper import BookKeeperWAL, WALTail
+
+        wal = BookKeeperWAL()
+        live = make_oracle(
+            "wsi", bounded=True, max_rows=8, wal=wal, lastcommit=lastcommit
+        )
+        standby = make_oracle(
+            "wsi", bounded=True, max_rows=8, lastcommit=lastcommit
+        )
+        tail = WALTail(wal)
+        for step, _ in enumerate(self._traffic(live, batched)):
+            if step % 5 == 0:
+                wal.flush()
+                for record in tail.poll():
+                    standby.apply_wal_record(record)
+        wal.flush()
+        for record in tail.poll():
+            standby.apply_wal_record(record)
+        fresh = make_oracle(
+            "wsi", bounded=True, max_rows=8, lastcommit=lastcommit
+        )
+        fresh.recover_from(wal)
+        expected = self._state(live)
+        assert live.tmax > 0 and len(live._last_commit) <= 8
+        for replica in (fresh, standby):
+            assert self._state(replica) == expected
+            assert (
+                replica.commit_table._commits == live.commit_table._commits
+            )
+            assert (
+                replica.commit_table._aborted == live.commit_table._aborted
+            )
+        # Re-applying records already applied changes nothing.
+        for record in wal.replay():
+            fresh.apply_wal_record(record)
+        assert self._state(fresh) == expected

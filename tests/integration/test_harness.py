@@ -79,3 +79,14 @@ class TestCommittedStateConsistency:
             version = system.manager.reader.read(row, reader.start_ts)
             if version is not None:
                 assert commit_source.commit_timestamp(version.timestamp) is not None
+
+
+def test_recovery_profile_replays_the_frontend_log(capsys):
+    """`make profile`'s recovery leg: a batch-32 log through the real
+    frontend, replayed cold and by a warm standby."""
+    from repro.bench.harness import profile_recovery
+
+    out = profile_recovery(decisions=640, keyspace=2_000, repeats=1)
+    assert out["decisions_per_record"] == 32
+    assert out["cold_us_per_decision"] > 0 and out["warm_us_per_decision"] > 0
+    assert "640 decisions in 20 decision records" in capsys.readouterr().out
