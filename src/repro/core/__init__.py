@@ -13,6 +13,7 @@ Public surface:
 * :class:`CommitTable`, :class:`ClientCommitView` — commit-state replicas.
 * :class:`LastCommitStore` backends — :class:`ArrayLastCommit` /
   :class:`BoundedArrayLastCommit` over :class:`KeyInterner` dense ids,
+  and Algorithm 3's :class:`BoundedLastCommit` over either,
   selected per oracle via ``lastcommit=`` or globally via
   ``REPRO_LASTCOMMIT`` (:func:`make_lastcommit`).
 * :class:`PartitionedOracle` (§6.3 footnote 6: sharded ``lastCommit``
@@ -59,6 +60,7 @@ from repro.core.keyspace import KeyInterner
 from repro.core.lastcommit import (
     ArrayLastCommit,
     BoundedArrayLastCommit,
+    BoundedLastCommit,
     LastCommitStore,
     make_lastcommit,
 )
@@ -110,6 +112,7 @@ __all__ = [
     "LastCommitStore",
     "ArrayLastCommit",
     "BoundedArrayLastCommit",
+    "BoundedLastCommit",
     "make_lastcommit",
     "PartitionedOracle",
     "ShardingPolicy",

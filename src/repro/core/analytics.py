@@ -137,30 +137,43 @@ class AnalyticalOracle(WriteSnapshotIsolationOracle):
     Inherits Algorithm 2 unchanged for OLTP requests; adds
     :meth:`commit_analytical` for requests whose read set is expressed
     as row ranges.  The range check scans ``lastCommit`` keys inside the
-    range via a sorted index maintained incrementally, so a full-table
-    analytical scan costs O(written rows) instead of O(table size).
+    range via a sorted index of the written integer rows, so a
+    full-table analytical scan costs O(written rows) instead of O(table
+    size).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._sorted_rows: List[int] = []  # integer rows only, sorted
+        self._indexed_size = 0  # len(lastCommit) when the index was built
         self.stats_analytical_commits = 0
         self.stats_analytical_aborts = 0
         self.stats_skipped_checks = 0
 
-    # keep the sorted index in sync with lastCommit
-    def _install(self, rows, commit_ts: int) -> None:
-        for row in rows:
-            if row not in self._last_commit and isinstance(row, int):
-                bisect.insort(self._sorted_rows, row)
-        super()._install(rows, commit_ts)
+    def _row_index(self) -> List[int]:
+        """The sorted integer rows of ``lastCommit``, rebuilt from the
+        store whenever it has grown since the last range check.
+
+        Read from the store itself, the index follows every writer —
+        the decide loop, ``commit()``, WAL replay and a standby's
+        catch-up — on every backend.  An unbounded store never drops a
+        row, so its size changes exactly when a row is added."""
+        lc = self._last_commit
+        if len(lc) != self._indexed_size:
+            self._sorted_rows = sorted(
+                row for row in lc if isinstance(row, int)
+            )
+            self._indexed_size = len(lc)
+        return self._sorted_rows
 
     def _max_lastcommit_in(self, row_range: RowRange) -> Optional[int]:
-        lo = bisect.bisect_left(self._sorted_rows, row_range.start)
-        hi = bisect.bisect_left(self._sorted_rows, row_range.end)
+        rows = self._row_index()
+        lo = bisect.bisect_left(rows, row_range.start)
+        hi = bisect.bisect_left(rows, row_range.end)
+        lc_get = self._last_commit.get
         best: Optional[int] = None
         for idx in range(lo, hi):
-            ts = self._last_commit.get(self._sorted_rows[idx])
+            ts = lc_get(rows[idx])
             if ts is not None and (best is None or ts > best):
                 best = ts
         return best

@@ -1,36 +1,56 @@
-"""Pluggable ``lastCommit`` conflict-detection stores.
+"""The ``lastCommit`` stores, and the one owner of their rules.
 
 The status oracle's hot state is one logical table: row key -> commit
 timestamp of the last transaction that wrote the row (``lastCommit`` in
-the paper's Algorithms 1-3).  Two representations back it:
+the paper's Algorithms 1-3).  Every rule over that table lives in this
+module, once per store kind, behind the two hooks :func:`store_hooks`
+resolves for a store:
+
+* ``scan(rows, start_ts) -> (conflict_row | None, rows_examined)`` —
+  the first row, in ``rows`` iteration order, whose ``lastCommit`` is
+  above ``start_ts`` (Algorithms 1/2, lines 1-5), with the number of
+  rows examined up to and including it (all of them on a clean pass);
+* ``install(rows, commit_ts)`` — set ``lastCommit`` of every row to
+  ``commit_ts`` (lines 7-9).
+
+:func:`newer_rows` is the replay filter the WAL paths apply before
+``install``.  The decide loop, ``commit()``, the partitioned engine
+and recovery all call these; none of them scans or installs by hand.
 
 ``dict`` (the default)
-    A plain dict keyed by row — simple, insertion-ordered, and fast for
-    point probes.  ``BoundedStatusOracle`` uses an ``OrderedDict`` for
-    its LRU eviction.  ~32 B/entry was the Appendix-A planning figure;
-    benchmark E24's footprint leg measures the real number (see
-    ROADMAP.md).
+    An *exact* ``dict`` of row -> timestamp, so the cyclic collector
+    never tracks it (a store of ints holds no references it could
+    walk); its hooks are closures over the dict's bound ``get``,
+    ``keys().isdisjoint`` and ``update``.  The scan runs one C-speed
+    ``isdisjoint`` sweep first, so a request whose checked rows were
+    never written costs no per-row probe; the install is one
+    ``update(fromkeys(rows, Tc))``.  A ``dict`` subclass carrying the
+    hooks as methods would be GC-tracked, and a full collection would
+    walk every entry (see ROADMAP.md, "Decide path").
 
 ``array`` (:class:`ArrayLastCommit`)
     Keys are interned to dense int ids (:class:`~repro.core.keyspace.
     KeyInterner`), timestamps live in a flat ``array('q')`` indexed by
     id, and 0 is the *absent* sentinel (commit timestamps are always
-    >= 1; recovery already treats 0 as "never written").  The win is
-    in the batch decide loop: one C-level id gather
-    (``itemgetter(*rows)``) plus one C-level timestamp gather plus one
-    ``max(...) > start_ts`` compare replaces N interpreted dict-probe
-    iterations per request — and an optional numpy path vectorises the
-    compare for large row sets.  Benchmark E24 pins the >= 2x batch-128
-    speedup; the hypothesis equivalence suites pin array == dict
-    decisions bit-for-bit.
+    >= 1; recovery already treats 0 as "never written").  The scan is
+    one C-level id gather (``itemgetter(*rows)``) plus one C-level
+    timestamp gather plus one ``max(...) > start_ts`` compare — numpy
+    vectorises the int-key case — instead of N interpreted dict
+    probes; the install is the same id gather plus a flat store sweep.
+    Benchmark E24 pins the >= 2x batch-128 speedup; the hypothesis
+    equivalence suites pin array == dict decisions bit-for-bit.
 
-Both stores speak the ``MutableMapping`` protocol, so every consumer
-that treats ``_last_commit`` as a mapping — the generic decide path,
-recovery, analytics, the equivalence tests' ``dict(...)`` comparisons —
-works on either backend unchanged.  The extra array-only surface
-(:meth:`ArrayLastCommit.install`, :meth:`ArrayLastCommit.scan_conflict`,
-:meth:`ArrayLastCommit.bulk_reset`) is what the vectorised decide loop
-binds.
+bounded (:class:`BoundedLastCommit`)
+    Algorithm 3 (Appendix A): at most ``max_rows`` rows in LRU order
+    over an ``OrderedDict`` (dict backend) or a
+    :class:`BoundedArrayLastCommit` (array backend), plus ``tmax``, the
+    highest commit timestamp ever evicted.  Its scan also aborts on an
+    absent row when ``tmax > start_ts``; its install reinserts at the
+    MRU end and evicts from the LRU end.
+
+Every store speaks the ``MutableMapping`` protocol, so recovery,
+analytics and the equivalence tests' ``dict(...)`` comparisons work on
+any of them unchanged.
 
 Backend selection mirrors the ``REPRO_ENGINE`` idiom
 (:mod:`repro.core.engine`): ``make_lastcommit()`` resolves the
@@ -46,7 +66,7 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Mapping, MutableMapping
 from operator import itemgetter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from .keyspace import KeyInterner
 
@@ -55,15 +75,21 @@ try:  # numpy is optional: the itemgetter path is the mandatory fallback
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
+#: ``ndarray.max()`` runs through a Python-level wrapper; the ufunc
+#: reduction is the same C loop without the extra frame.
+_np_max = _np.maximum.reduce if _np is not None else None
+
 __all__ = [
     "LASTCOMMIT_ENV",
     "NUMPY_MIN_ROWS",
     "LastCommitStore",
     "ArrayLastCommit",
     "BoundedArrayLastCommit",
+    "BoundedLastCommit",
     "default_lastcommit_kind",
     "make_lastcommit",
-    "np_peak",
+    "newer_rows",
+    "store_hooks",
 ]
 
 #: Environment variable selecting the default backend (``dict``/``array``).
@@ -76,39 +102,22 @@ LASTCOMMIT_ENV = "REPRO_LASTCOMMIT"
 NUMPY_MIN_ROWS = 32
 
 
-def _np_peak(ts: array, kids) -> int:
-    """Max timestamp over slot ids ``kids``, vectorised.
-
-    The ``frombuffer`` view is zero-copy and *transient*: it is created
-    and dropped inside this call because a live view pins the buffer
-    and the next ``array`` grow would raise ``BufferError``.
-    """
-    return int(_np.frombuffer(ts, dtype=_np.int64)[list(kids)].max())
-
-
-#: Vectorised gather+max, or ``None`` when numpy is unavailable — the
-#: decide loops bind this once and fall back to ``itemgetter`` chains.
-np_peak = _np_peak if _np is not None else None
-
-
 class LastCommitStore(MutableMapping):
-    """Interface contract for pluggable ``lastCommit`` backends.
+    """Interface contract for the non-``dict`` ``lastCommit`` backends.
 
-    A backend is any ``MutableMapping`` from row key to positive commit
+    A backend is a ``MutableMapping`` from row key to positive commit
     timestamp whose equality, iteration and ``dict(...)`` conversions
-    match the plain-dict backend.  Array-style backends additionally
-    expose the bulk hooks the vectorised decide loop binds:
+    match the plain-dict backend, plus the two hooks
+    :func:`store_hooks` hands the decide paths:
 
-    * :meth:`install` — intern + store a whole write set at one
-      timestamp (one call per committed transaction);
     * :meth:`scan_conflict` — side-effect-free first-conflict scan with
       the dict backend's exact row order and rows-examined count;
-    * :meth:`bulk_reset` — epoch/watermark reset without rebuilding the
-      interner.
+    * :meth:`install` — store a whole write set at one timestamp (one
+      call per committed transaction).
 
-    The plain ``dict`` default does not subclass this ABC — the decide
-    loop type-switches on the concrete class, and everything else goes
-    through the shared mapping protocol.
+    The plain ``dict`` default does not subclass this ABC (it must stay
+    an exact, untracked ``dict``); :func:`store_hooks` builds its hooks
+    as closures instead.
     """
 
     __slots__ = ()
@@ -116,15 +125,16 @@ class LastCommitStore(MutableMapping):
     #: Factory kind string this backend answers to.
     kind = "abstract"
 
-    def install(self, keys: Iterable[Hashable], commit_ts: int) -> None:
+    #: Highest commit timestamp the store has evicted: the floor an
+    #: absent row is known to be below.  Only a bounded store evicts.
+    tmax = 0
+
+    def install(self, keys, commit_ts: int) -> None:
         raise NotImplementedError
 
     def scan_conflict(
-        self, rows: Iterable[Hashable], start_ts: int
+        self, rows, start_ts: int
     ) -> Tuple[Optional[Hashable], int]:
-        raise NotImplementedError
-
-    def bulk_reset(self, watermark: Optional[int] = None) -> None:
         raise NotImplementedError
 
 
@@ -245,28 +255,41 @@ class ArrayLastCommit(LastCommitStore):
     def _record_delete(self, kid: int) -> None:
         pass
 
-    # -- bulk hooks the vectorised decide loop binds ----------------------
+    # -- the two hooks store_hooks() hands the decide paths ---------------
 
-    def install(self, keys: Iterable[Hashable], commit_ts: int) -> None:
-        """Intern + store a whole write set at ``commit_ts``.
+    def install(self, keys, commit_ts: int) -> None:
+        """Store a whole write set (a set, tuple or list) at ``commit_ts``.
 
-        One ``intern_many`` (deterministic id order for unseen keys),
-        one grow, one store sweep — the per-commit install cost the
-        batch loop pays instead of ``len(ws)`` dict stores.
+        Already-interned keys take one C-level id gather; only a write
+        set with an unseen key pays ``intern_many`` (deterministic id
+        order for the new ones) and the slot-array grow.  Then one
+        store sweep — no Python call per row.
         """
         if commit_ts <= 0:
             raise ValueError(
                 f"ArrayLastCommit timestamps must be positive (0 is the "
                 f"absent sentinel); got {commit_ts!r}"
             )
-        kids = self._interner.intern_many(keys)
-        ts = self._grow()
+        if not keys:
+            return
+        interner = self._interner
+        ts = self._ts
+        try:
+            kids = itemgetter(*keys)(interner._ids)
+        except KeyError:
+            kids = interner.intern_many(keys)
+        if len(ts) < len(interner._keys):
+            ts = self._grow()
         fresh = 0
-        for kid in kids:
-            if ts[kid] == 0:
-                fresh += 1
-                self._record_insert(kid)
-            ts[kid] = commit_ts
+        if kids.__class__ is int:  # one key: itemgetter returned its id
+            if ts[kids] == 0:
+                fresh = 1
+            ts[kids] = commit_ts
+        else:
+            for kid in kids:
+                if ts[kid] == 0:
+                    fresh += 1
+                ts[kid] = commit_ts
         self._live += fresh
 
     def scan_conflict(
@@ -315,10 +338,10 @@ class ArrayLastCommit(LastCommitStore):
                     keys_np = None
                 if keys_np is not None:
                     table = interner._int_table
-                    if len(table) and int(keys_np.max()) < len(table):
+                    if len(table) and int(_np_max(keys_np)) < len(table):
                         kids_np = _np.frombuffer(table, dtype=_np.int64)[keys_np]
                         peak = int(
-                            _np.frombuffer(ts, dtype=_np.int64)[kids_np].max()
+                            _np_max(_np.frombuffer(ts, dtype=_np.int64)[kids_np])
                         )
             if peak < 0:
                 kids = itemgetter(*rows)(ids_map)
@@ -377,9 +400,9 @@ class ArrayLastCommit(LastCommitStore):
 
 
 class BoundedArrayLastCommit(ArrayLastCommit):
-    """LRU-ordered array store backing ``BoundedStatusOracle``.
+    """LRU-ordered array store under :class:`BoundedLastCommit`.
 
-    Adds the ``OrderedDict`` surface the bounded decide loop uses —
+    Adds the ``OrderedDict`` surface the bounded store uses —
     insertion-ordered iteration, ``pop(row)``, ``popitem(last=False)``
     — on top of the flat timestamp array.  Order lives in an
     insertion-ordered ``dict`` of ids; evicted keys keep their interner
@@ -412,6 +435,11 @@ class BoundedArrayLastCommit(ArrayLastCommit):
     def __len__(self) -> int:
         return len(self._order)
 
+    def install(self, keys, commit_ts: int) -> None:
+        # Per key, so every fresh key is recorded in LRU order.
+        for key in keys:
+            self[key] = commit_ts
+
     def popitem(self, last: bool = True) -> Tuple[Hashable, int]:
         """(key, ts) from the LRU (``last=False``) or MRU end."""
         order = self._order
@@ -424,6 +452,129 @@ class BoundedArrayLastCommit(ArrayLastCommit):
         self._ts[kid] = 0
         self._live -= 1
         return key, ts
+
+
+class BoundedLastCommit(LastCommitStore):
+    """Algorithm 3's ``lastCommit``: at most ``max_rows`` rows plus ``tmax``.
+
+    The one bounded implementation, over either backend's LRU-ordered
+    mapping (``OrderedDict`` or :class:`BoundedArrayLastCommit`), which
+    it reaches only through the ``get`` / ``pop`` / ``popitem`` mapping
+    surface both share.  The mapping protocol is the LRU mapping's,
+    unchanged (iteration runs oldest first).
+    """
+
+    __slots__ = ("_lru", "max_rows", "tmax")
+
+    def __init__(self, lru: MutableMapping, max_rows: int) -> None:
+        if max_rows < 1:
+            raise ValueError("max_rows must be >= 1")
+        self._lru = lru
+        self.max_rows = max_rows
+        #: the highest commit timestamp evicted so far (Appendix A's Tmax)
+        self.tmax = 0
+
+    def __getitem__(self, key: Hashable) -> int:
+        return self._lru[key]
+
+    def get(self, key: Hashable, default=None):
+        return self._lru.get(key, default)
+
+    def __setitem__(self, key: Hashable, commit_ts: int) -> None:
+        self._lru[key] = commit_ts
+
+    def __delitem__(self, key: Hashable) -> None:
+        del self._lru[key]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._lru)
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._lru
+
+    def scan_conflict(
+        self, rows, start_ts: int
+    ) -> Tuple[Optional[Hashable], int]:
+        """Algorithm 3, lines 1-11: the unbounded scan, plus a row absent
+        from memory conflicts *pessimistically* when ``tmax > start_ts``
+        (its evicted entry may be newer than the snapshot).  The caller
+        tells the two verdicts apart by membership: only a ``tmax``
+        conflict row is absent."""
+        get = self._lru.get
+        tmax = self.tmax
+        examined = 0
+        for row in rows:
+            examined += 1
+            last = get(row)
+            if last is None:
+                if tmax > start_ts:
+                    return row, examined
+            elif last > start_ts:
+                return row, examined
+        return None, examined
+
+    def install(self, keys, commit_ts: int) -> None:
+        """Reinsert every row at the MRU end; past ``max_rows``, evict
+        from the LRU end and raise ``tmax`` to the evicted timestamp."""
+        lru = self._lru
+        max_rows = self.max_rows
+        for row in keys:
+            if row in lru:
+                lru.pop(row)
+            lru[row] = commit_ts
+            if len(lru) > max_rows:
+                evicted = lru.popitem(last=False)[1]
+                if evicted > self.tmax:
+                    self.tmax = evicted
+
+
+def store_hooks(store) -> Tuple[Callable, Callable]:
+    """``(scan, install)`` for ``store`` — see the module docstring.
+
+    A ``dict`` gets closures over its bound methods: they add no
+    attribute to the dict, so it stays an exact, untracked ``dict``.
+    Every other store is a :class:`LastCommitStore` and hands over its
+    own two methods.
+    """
+    if not isinstance(store, dict):
+        return store.scan_conflict, store.install
+    get = store.get
+    isdisjoint = store.keys().isdisjoint  # a live view: sees later installs
+    update = store.update
+    fromkeys = dict.fromkeys
+
+    def scan(rows, start_ts):
+        if isdisjoint(rows):
+            # No checked row was ever written: one C-speed sweep.
+            return None, len(rows)
+        examined = 0
+        for row in rows:
+            examined += 1
+            last = get(row)
+            if last is not None and last > start_ts:
+                return row, examined
+        return None, examined
+
+    def install(rows, commit_ts):
+        update(fromkeys(rows, commit_ts))
+
+    return scan, install
+
+
+def newer_rows(store, rows, commit_ts: int) -> List[Hashable]:
+    """The replay filter: the rows of a recovered commit that
+    ``commit_ts`` is newer for — above ``lastCommit(row)``, or above the
+    store's ``tmax`` for an absent row (its evicted entry may be newer).
+
+    Installing only these keeps a re-applied or out-of-order record from
+    moving any row backwards, so replay is idempotent on every store.
+    """
+    get = store.get
+    floor = 0 if isinstance(store, dict) else store.tmax
+    return [row for row in rows if commit_ts > get(row, floor)]
 
 
 def default_lastcommit_kind() -> str:
@@ -442,8 +593,9 @@ def make_lastcommit(
     ``kind`` is a backend name (``"dict"`` | ``"array"``), an existing
     store instance (returned as-is, for tests injecting a pre-seeded
     store), or ``None`` to resolve ``REPRO_LASTCOMMIT``.  ``bounded``
-    selects the LRU-ordered variant each backend provides
-    (``OrderedDict`` / :class:`BoundedArrayLastCommit`).
+    selects the LRU-ordered mapping each backend provides
+    (``OrderedDict`` / :class:`BoundedArrayLastCommit`) for
+    :class:`BoundedLastCommit` to wrap.
     """
     if kind is None:
         kind = default_lastcommit_kind()

@@ -24,9 +24,9 @@ salted builtin ``hash()`` cannot guarantee.
   throughput scaling;
 * a **cross-partition** transaction runs a two-phase decision
   (:meth:`~PartitionedOracle._commit_cross`): every involved partition
-  validates its share of the checked rows through the shared bulk
-  primitive (:meth:`~repro.core.status_oracle.StatusOracle.check_share`,
-  phase 1); only if *all* shares pass is the commit timestamp assigned
+  validates its share of the checked rows with its store's ``scan``
+  hook (:func:`~repro.core.lastcommit.store_hooks`, phase 1); only if
+  *all* shares pass is the commit timestamp assigned
   and every partition's ``lastCommit`` share installed (phase 2).
   Because checks precede any update and the commit timestamp is
   allocated once, the outcome is identical to what a single monolithic
@@ -269,17 +269,9 @@ class PartitionedOracle(CommitEngine):
     def _commit_single(self, request: CommitRequest, pid: int) -> CommitResult:
         """Decide a single-partition request against one shard directly."""
         partition = self.partitions[pid]
-        lc = partition._last_commit
-        lc_get = lc.get
+        _, scan, install = partition._hooks()
         start = request.start_ts
-        checked = 0
-        conflict_row = None
-        for row in self.rows_to_check(request):
-            checked += 1
-            last = lc_get(row)
-            if last is not None and last > start:
-                conflict_row = row
-                break
+        conflict_row, checked = scan(self.rows_to_check(request), start)
         partition.stats.rows_checked += checked
         if conflict_row is not None:
             reason = "rw-conflict" if self.level == "wsi" else "ww-conflict"
@@ -291,8 +283,7 @@ class PartitionedOracle(CommitEngine):
                 False, start, reason=reason, conflict_row=conflict_row
             )
         commit_ts = self._tso.next()
-        for row in request.write_set:
-            lc[row] = commit_ts
+        install(request.write_set, commit_ts)
         self.stats.rows_updated += len(request.write_set)
         self.commit_table.record_commit(start, commit_ts)
         self.stats.commits += 1
@@ -302,26 +293,25 @@ class PartitionedOracle(CommitEngine):
     def _commit_cross(self, request: CommitRequest) -> CommitResult:
         """Two-phase decision for one cross-partition footprint.
 
-        Phase 1 hands each involved partition its share of the checked
-        rows through the shared bulk primitive
-        (:meth:`~repro.core.status_oracle.StatusOracle.check_share`);
-        phase 2 assigns Tc once and installs every write share.
+        Phase 1 scans each involved partition's share of the checked
+        rows with that partition's store hook; phase 2 assigns Tc once
+        and installs every write share.
         """
         start = request.start_ts
-        check_shares = self._split(self.rows_to_check(request))
+        checked_shares = self._split(self.rows_to_check(request))
         # Under SI the checked rows *are* the write set: one split
         # serves both phases.
         write_shares = (
             self._split(request.write_set)
             if self.level == "wsi"
-            else check_shares
+            else checked_shares
         )
 
         # Phase 1: every involved partition validates its share (for SI
         # the write share, for WSI the read share).
-        for pid in sorted(check_shares):
+        for pid in sorted(checked_shares):
             partition = self.partitions[pid]
-            row, checked = partition.check_share(check_shares[pid], start)
+            row, checked = partition._hooks()[1](checked_shares[pid], start)
             partition.stats.rows_checked += checked
             if row is not None:
                 reason = "rw-conflict" if self.level == "wsi" else "ww-conflict"

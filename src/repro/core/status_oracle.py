@@ -33,50 +33,54 @@ single bulk pass persisted as one group-commit record — the hot path the
 :mod:`repro.server` frontend flushes through (see that package's
 docstring for where the time goes).
 
-**Hot path.**  The batch decide loop is the single-node ceiling, and it
-exists in two representations behind the same decisions (selected by
-``REPRO_LASTCOMMIT`` / ``make_oracle(..., lastcommit=...)``; see
-:mod:`repro.core.lastcommit`):
+**Decide path.**  One batch loop, :meth:`StatusOracle._decide_batch`,
+serves every store.  It keeps the per-outcome bookkeeping (commit
+table, timestamp reservation, WAL payload, futures, results, stats)
+inlined once, and calls the store's two hooks — ``scan`` and
+``install``, built by :func:`~repro.core.lastcommit.store_hooks` once
+per store and bound once per batch — for everything that touches
+``lastCommit``.  Which store backs the oracle (selected by
+``REPRO_LASTCOMMIT`` / ``make_oracle(..., lastcommit=...)``) decides
+how those hooks run:
 
-* ``dict`` (default) — :meth:`StatusOracle._decide_batch_fast`: one
-  C-speed ``keys().isdisjoint`` sweep per request filters the common
-  never-written case; only requests whose checked rows intersect
-  ``lastCommit`` pay the per-row probe scan.  Installs are one
-  ``dict.update(dict.fromkeys(ws, Tc))``.  Weakness: under a *warmed*
-  keyspace (every checked row present), the prefilter always fails and
-  each request degrades to N interpreted probe iterations.
-* ``array`` — :meth:`StatusOracle._decide_batch_fast_array`: row keys
-  are interned to dense ids (:class:`~repro.core.keyspace.KeyInterner`)
-  and timestamps live in a flat ``array('q')``.  Each conflict check is
-  one :meth:`~repro.core.lastcommit.ArrayLastCommit.scan_conflict`
-  call: for plain non-negative int row keys (the interner's *int lane*)
-  a fully vectorised numpy sweep — key array -> slot-id gather ->
-  timestamp gather -> one ``max(...) > Ts`` compare, zero per-row
-  interpreted work; otherwise a C-level ``itemgetter`` double gather
-  over the id map and timestamp array.  Only a *suspected* conflict
-  rescans scalar-wise (in the same frozenset order, so the reported
-  conflict row and ``rows_checked`` match the dict backend
-  bit-for-bit).  Installs intern the write set once and store into
-  flat slots.
+* ``dict`` (default) — one C-speed ``keys().isdisjoint`` sweep per
+  request filters the never-written case, so only a request whose
+  checked rows intersect ``lastCommit`` pays the per-row probe scan;
+  installs are one ``dict.update(dict.fromkeys(ws, Tc))``.  The store
+  stays an exact, untracked ``dict``: the cyclic collector never walks
+  its entries.
+* ``array`` — row keys are interned to dense ids
+  (:class:`~repro.core.keyspace.KeyInterner`) and timestamps live in a
+  flat ``array('q')``; a scan is one bulk id gather + timestamp gather
+  + ``max(...) > Ts`` compare (numpy-vectorised for int keys), with a
+  scalar rescan only on a *suspected* conflict, so the reported
+  conflict row and ``rows_checked`` match the dict store bit-for-bit.
+* bounded (Algorithm 3) — the scan adds the pessimistic ``tmax``
+  abort; the install reinserts in LRU order and evicts.  The loop
+  tells a ``tmax`` abort from a conflict on the abort path only: its
+  conflict row is absent from the store.
 
+:meth:`StatusOracle.commit` is the sequential reference the
+equivalence suites compare the loop against; it calls the same hooks.
 Benchmark E18 pins the batching win itself; E24 pins the array backend
 at >= 2x the dict backend on warmed batch-128 decides and measures the
-per-entry footprint of both; the hypothesis equivalence suites pin
-array == dict across decisions, commit timestamps, WAL replay and
-recovery.
+per-entry footprint of both.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.core.commit_table import CommitTable
 from repro.core.engine import CommitEngine
 from repro.core.errors import OracleClosed
-from repro.core.lastcommit import ArrayLastCommit, make_lastcommit
+from repro.core.lastcommit import (
+    BoundedLastCommit,
+    make_lastcommit,
+    newer_rows,
+    store_hooks,
+)
 from repro.core.timestamps import TimestampOracle
 from repro.wal.bookkeeper import BookKeeperWAL
 
@@ -234,6 +238,8 @@ class StatusOracle(CommitEngine):
         #: strings, a pre-built store instance, or None for the
         #: REPRO_LASTCOMMIT environment default.
         self._last_commit = make_lastcommit(lastcommit)
+        #: (store, scan, install) as :meth:`_hooks` last resolved them.
+        self._bound_hooks: Tuple[Any, Any, Any] = (None, None, None)
         self.commit_table = CommitTable()
         self.stats = OracleStats()
         self._closed = False
@@ -338,7 +344,7 @@ class StatusOracle(CommitEngine):
         self._log("abort", (start_ts,))
 
     # ------------------------------------------------------------------
-    # the batch-decide fast path (one critical section per batch).
+    # the batch decide kernel (one critical section per batch).
     # ``decide_batch`` itself — the public template that wraps this
     # engine hook with group-record WAL persistence and error re-raise —
     # is inherited from :class:`~repro.core.engine.CommitEngine`.
@@ -359,55 +365,23 @@ class StatusOracle(CommitEngine):
         go to ``errors`` (and the matching ``results`` slot is ``None``).
         Returns ``(commits, aborts, rows_checked, rows_updated)``.
 
-        Plain SI/WSI oracles take the inlined loop; subclasses that
-        refine ``_check``/``_install`` (the bounded oracle overrides this
-        method entirely) go through their own hooks so policy semantics
-        are preserved exactly.
-
-        The per-outcome bookkeeping (commit-table error isolation,
-        payload/future/result fills) is deliberately inlined in every
-        engine — this loop, the array-backed twin below and the bounded
-        override — because a shared helper
-        costs a Python call per decision on the measured hot path
-        (benchmark E18).
-        Change one, change all; the hypothesis equivalence suite pins
-        decisions and stats across all of them.
-        """
-        if type(self) in (SnapshotIsolationOracle, WriteSnapshotIsolationOracle):
-            lc = self._last_commit
-            if lc.__class__ is dict:
-                return self._decide_batch_fast(
-                    batch, payload_commits, payload_aborts, errors, results
-                )
-            if lc.__class__ is ArrayLastCommit:
-                return self._decide_batch_fast_array(
-                    batch, payload_commits, payload_aborts, errors, results
-                )
-        return self._decide_batch_generic(
-            batch, payload_commits, payload_aborts, errors, results
-        )
-
-    def _decide_batch_fast(self, batch, payload_commits, payload_aborts,
-                           errors, results):
-        """Inlined decision loop for plain SI/WSI oracles.
-
         Observationally equivalent to calling ``commit()`` / ``abort()``
         per item in batch order — same decisions, lastCommit/commit-table
-        state, OracleStats and timestamp-reservation behaviour — but with
-        locally-bound lookups, one C-speed ``isdisjoint`` sweep for the
-        no-conflict common case, ``dict``-bulk write-set installs, and
-        stats counted once per batch instead of once per row/request.
+        state, OracleStats and timestamp-reservation behaviour — but
+        with locally-bound lookups, the commit table and timestamp
+        oracle inlined, and stats counted once per batch.  Every
+        ``lastCommit`` access is one of the store's hooks, so this is
+        the one loop for every store.  On the dict and array stores a
+        decision enters at most two Python frames — the scan, then the
+        install or (array store, abort) the membership test — whatever
+        its footprint size (``tests/core/test_decide_budget.py``).
         """
         if self._closed:
             raise OracleClosed("status oracle is closed")
         tso = self._tso
         if tso._closed:
             raise OracleClosed("timestamp oracle is closed")
-        lc = self._last_commit
-        lc_get = lc.get
-        lc_update = lc.update
-        lc_isdisjoint = lc.keys().isdisjoint  # live view: sees batch installs
-        fromkeys = dict.fromkeys
+        lc, scan, install = self._hooks()
         ct = self.commit_table
         # Replicas subscribed to the commit table must see every decision,
         # so only bypass its record methods when nobody is listening.
@@ -423,8 +397,8 @@ class StatusOracle(CommitEngine):
         res_append = results.append if results is not None else None
         nxt = tso._next
         reserved = tso._reserved_until
-        commits = conflict_aborts = client_aborts = ro_commits = issued = 0
-        rows_checked = rows_updated = 0
+        commits = conflict_aborts = tmax_aborts = client_aborts = 0
+        ro_commits = issued = rows_checked = rows_updated = 0
         try:
             for item in batch:
                 if item.__class__ is CommitRequest:
@@ -479,55 +453,47 @@ class StatusOracle(CommitEngine):
                         res_append(CommitResult(True, start, commit_ts=None))
                     continue
                 rows = req.read_set if check_reads else ws
-                conflict_row = None
                 if rows:
-                    if lc_isdisjoint(rows):
-                        # No checked row was ever written (the common case
-                        # under a large keyspace): the whole scan is one
-                        # C-speed membership sweep.
-                        rows_checked += len(rows)
-                    else:
-                        # Some checked row has a lastCommit entry: run the
-                        # faithful first-conflict scan in frozenset order.
-                        for row in rows:
-                            rows_checked += 1
-                            last = lc_get(row)
-                            if last is not None and last > start:
-                                conflict_row = row
-                                break
-                if conflict_row is not None:
-                    try:
-                        if fast_ct:
-                            if start in ct_commits:
-                                raise ValueError(
-                                    f"txn {start} already committed; "
-                                    "cannot abort"
-                                )
-                            ct_aborted.add(start)
-                        else:
-                            ct.record_abort(start)
-                    except Exception as exc:
-                        errors.append((start, exc))
+                    conflict_row, examined = scan(rows, start)
+                    rows_checked += examined
+                    if conflict_row is not None:
+                        try:
+                            if fast_ct:
+                                if start in ct_commits:
+                                    raise ValueError(
+                                        f"txn {start} already committed; "
+                                        "cannot abort"
+                                    )
+                                ct_aborted.add(start)
+                            else:
+                                ct.record_abort(start)
+                        except Exception as exc:
+                            errors.append((start, exc))
+                            if fut is not None:
+                                fut._error = exc
+                            if res_append is not None:
+                                res_append(None)
+                            continue
+                        if conflict_row in lc:
+                            reason = reason_tag
+                            conflict_aborts += 1
+                        else:  # Algorithm 3: the row was evicted
+                            reason = "tmax"
+                            tmax_aborts += 1
+                        pa_append(start)
                         if fut is not None:
-                            fut._error = exc
+                            fut._reason = reason
+                            fut._row = conflict_row
                         if res_append is not None:
-                            res_append(None)
-                        continue
-                    conflict_aborts += 1
-                    pa_append(start)
-                    if fut is not None:
-                        fut._reason = reason_tag
-                        fut._row = conflict_row
-                    if res_append is not None:
-                        res_append(
-                            CommitResult(
-                                False, start,
-                                reason=reason_tag, conflict_row=conflict_row,
+                            res_append(
+                                CommitResult(
+                                    False, start,
+                                    reason=reason, conflict_row=conflict_row,
+                                )
                             )
-                        )
-                    continue
+                        continue
                 # commit: assign Tc (inlined tso.next with the same
-                # reservation protocol), bulk-install the write set.
+                # reservation protocol), install the write set.
                 if nxt > reserved:
                     tso._next = nxt
                     tso._reserve()
@@ -535,7 +501,7 @@ class StatusOracle(CommitEngine):
                 cts = nxt
                 nxt += 1
                 issued += 1
-                lc_update(fromkeys(ws, cts))
+                install(ws, cts)
                 rows_updated += len(ws)
                 try:
                     if fast_ct:
@@ -576,378 +542,44 @@ class StatusOracle(CommitEngine):
             st = self.stats
             st.commits += commits + ro_commits
             st.read_only_commits += ro_commits
-            st.aborts += conflict_aborts + client_aborts
+            st.aborts += conflict_aborts + tmax_aborts + client_aborts
             st.conflict_aborts += conflict_aborts
+            st.tmax_aborts += tmax_aborts
             st.rows_checked += rows_checked
             st.rows_updated += rows_updated
         return (
             commits + ro_commits,
-            conflict_aborts + client_aborts,
+            conflict_aborts + tmax_aborts + client_aborts,
             rows_checked,
             rows_updated,
         )
 
-    def _decide_batch_fast_array(self, batch, payload_commits, payload_aborts,
-                                 errors, results):
-        """Inlined decision loop over an :class:`ArrayLastCommit` store.
-
-        The third copy of the inlined bookkeeping (see
-        :meth:`_decide_batch` — change one, change all): identical
-        decisions, state, stats and reservation behaviour to
-        :meth:`_decide_batch_fast`, but each conflict check delegates
-        to :meth:`ArrayLastCommit.scan_conflict` — one bulk id gather
-        + one timestamp gather + one ``max`` compare (the int lane or
-        itemgetter chain) instead of a per-row dict probe scan — and
-        installs intern the write set once and store into flat slots.
-        ``scan_conflict`` guarantees the reported conflict row and the
-        examined-row count match the dict loop exactly (first conflict
-        in frozenset order; full count on a clean sweep), so the stats
-        stay pinned by the equivalence suite.
-        """
-        if self._closed:
-            raise OracleClosed("status oracle is closed")
-        tso = self._tso
-        if tso._closed:
-            raise OracleClosed("timestamp oracle is closed")
+    # ------------------------------------------------------------------
+    # lastCommit plumbing: the store's hooks (repro.core.lastcommit)
+    # ------------------------------------------------------------------
+    def _hooks(self):
+        """``(store, scan, install)`` for the current ``lastCommit``
+        store, resolved once per store rather than once per call."""
+        hooks = self._bound_hooks
         lc = self._last_commit
-        interner = lc._interner
-        ids_map = interner._ids
-        intern_many = interner.intern_many
-        keys_table = interner._keys
-        scan = lc.scan_conflict
-        ts_arr = lc._ts  # grows in place (frombytes): binding stays valid
-        getter = itemgetter
-        ct = self.commit_table
-        # Replicas subscribed to the commit table must see every decision,
-        # so only bypass its record methods when nobody is listening.
-        fast_ct = not ct._subscribers
-        ct_commits = ct._commits
-        ct_aborted = ct._aborted
-        check_reads = self.level == "wsi"
-        # §4.1 condition 3 short-circuit, unless the E16 ablation is on.
-        exempt_ro = not self.naive_read_only
-        reason_tag = "rw-conflict" if check_reads else "ww-conflict"
-        pc_append = payload_commits.append
-        pa_append = payload_aborts.append
-        res_append = results.append if results is not None else None
-        nxt = tso._next
-        reserved = tso._reserved_until
-        commits = conflict_aborts = client_aborts = ro_commits = issued = 0
-        rows_checked = rows_updated = fresh = 0
-        try:
-            for item in batch:
-                if item.__class__ is CommitRequest:
-                    req = item  # nowait commit: no future to fill in
-                    fut = None
-                else:
-                    if item.__class__ is tuple:
-                        req, fut = item
-                    else:
-                        req, fut = item, None
-                    if req.__class__ is not CommitRequest:
-                        # client-initiated abort; req is the start timestamp
-                        start = req
-                        try:
-                            if fast_ct:
-                                if start in ct_commits:
-                                    raise ValueError(
-                                        f"txn {start} already committed; "
-                                        "cannot abort"
-                                    )
-                                ct_aborted.add(start)
-                            else:
-                                ct.record_abort(start)
-                        except Exception as exc:
-                            errors.append((start, exc))
-                            if fut is not None:
-                                fut._error = exc
-                            if res_append is not None:
-                                res_append(None)
-                            continue
-                        client_aborts += 1
-                        pa_append(start)
-                        if fut is not None:
-                            fut._reason = CLIENT_ABORT
-                        if res_append is not None:
-                            res_append(
-                                CommitResult(False, start, reason=CLIENT_ABORT)
-                            )
-                        continue
-                start = req.start_ts
-                ws = req.write_set
-                if not ws and (exempt_ro or not req.read_set):
-                    # §4.1 condition 3: an empty write set never aborts —
-                    # no check, no commit timestamp, no WAL payload.
-                    ro_commits += 1
-                    if fut is not None:
-                        fut._committed = True
-                    if res_append is not None:
-                        res_append(CommitResult(True, start, commit_ts=None))
-                    continue
-                rows = req.read_set if check_reads else ws
-                conflict_row = None
-                if rows:
-                    conflict_row, examined = scan(rows, start)
-                    rows_checked += examined
-                if conflict_row is not None:
-                    try:
-                        if fast_ct:
-                            if start in ct_commits:
-                                raise ValueError(
-                                    f"txn {start} already committed; "
-                                    "cannot abort"
-                                )
-                            ct_aborted.add(start)
-                        else:
-                            ct.record_abort(start)
-                    except Exception as exc:
-                        errors.append((start, exc))
-                        if fut is not None:
-                            fut._error = exc
-                        if res_append is not None:
-                            res_append(None)
-                        continue
-                    conflict_aborts += 1
-                    pa_append(start)
-                    if fut is not None:
-                        fut._reason = reason_tag
-                        fut._row = conflict_row
-                    if res_append is not None:
-                        res_append(
-                            CommitResult(
-                                False, start,
-                                reason=reason_tag, conflict_row=conflict_row,
-                            )
-                        )
-                    continue
-                # commit: assign Tc (inlined tso.next with the same
-                # reservation protocol), intern + install the write set.
-                if nxt > reserved:
-                    tso._next = nxt
-                    tso._reserve()
-                    reserved = tso._reserved_until
-                cts = nxt
-                nxt += 1
-                issued += 1
-                try:
-                    kids = getter(*ws)(ids_map)
-                except KeyError:
-                    # Unseen write rows: intern (deterministic id order
-                    # for the new ones) and grow the slot array in place.
-                    kids = intern_many(ws)
-                    short = len(keys_table) - len(ts_arr)
-                    if short > 0:
-                        ts_arr.frombytes(bytes(short << 3))
-                if kids.__class__ is tuple or kids.__class__ is list:
-                    for kid in kids:
-                        if ts_arr[kid] == 0:
-                            fresh += 1
-                        ts_arr[kid] = cts
-                else:  # single-row write set: itemgetter returned the id
-                    if ts_arr[kids] == 0:
-                        fresh += 1
-                    ts_arr[kids] = cts
-                rows_updated += len(ws)
-                try:
-                    if fast_ct:
-                        if cts <= start:
-                            raise ValueError(
-                                f"commit_ts {cts} must exceed start_ts {start}"
-                            )
-                        if start in ct_aborted:
-                            raise ValueError(
-                                f"txn {start} already aborted; cannot commit"
-                            )
-                        ct_commits[start] = cts
-                    else:
-                        ct.record_commit(start, cts)
-                except Exception as exc:
-                    errors.append((start, exc))
-                    if fut is not None:
-                        fut._error = exc
-                    if res_append is not None:
-                        res_append(None)
-                    continue
-                commits += 1
-                pc_append((start, cts, ws))
-                if fut is not None:
-                    fut._committed = True
-                    fut._commit_ts = cts
-                if res_append is not None:
-                    res_append(CommitResult(True, start, commit_ts=cts))
-        finally:
-            # Keep oracle-visible state consistent even on a mid-batch
-            # protocol error: timestamps consumed so far stay consumed,
-            # and the store's live-entry count reflects every install.
-            lc._live += fresh
-            tso._next = nxt
-            tso._issued += issued
-            st = self.stats
-            st.commits += commits + ro_commits
-            st.read_only_commits += ro_commits
-            st.aborts += conflict_aborts + client_aborts
-            st.conflict_aborts += conflict_aborts
-            st.rows_checked += rows_checked
-            st.rows_updated += rows_updated
-        return (
-            commits + ro_commits,
-            conflict_aborts + client_aborts,
-            rows_checked,
-            rows_updated,
-        )
+        if hooks[0] is not lc:
+            hooks = self._bound_hooks = (lc, *store_hooks(lc))
+        return hooks
 
-    def _decide_batch_generic(self, batch, payload_commits, payload_aborts,
-                              errors, results):
-        """Hook-faithful loop for StatusOracle subclasses that refine
-        ``_check``/``_install``: defers to the subclass's own methods so
-        policy refinements keep their exact semantics."""
-        if self._closed:
-            raise OracleClosed("status oracle is closed")
-        tso = self._tso
-        ct = self.commit_table
-        st = self.stats
-        commits = aborts = rows_updated_total = 0
-        rows_checked_before = st.rows_checked
-        for item in batch:
-            req, fut = item if item.__class__ is tuple else (item, None)
-            result = None
-            try:
-                if req.__class__ is not CommitRequest:
-                    ct.record_abort(req)
-                    st.aborts += 1
-                    aborts += 1
-                    payload_aborts.append(req)
-                    if fut is not None:
-                        fut._reason = CLIENT_ABORT
-                    result = CommitResult(False, req, reason=CLIENT_ABORT)
-                    continue
-                if not req.write_set and not (
-                    self.naive_read_only and req.read_set
-                ):
-                    st.commits += 1
-                    st.read_only_commits += 1
-                    commits += 1
-                    if fut is not None:
-                        fut._committed = True
-                    result = CommitResult(True, req.start_ts, commit_ts=None)
-                    continue
-                conflict = self._check(req)
-                if conflict is not None:
-                    reason, row = conflict
-                    ct.record_abort(req.start_ts)
-                    st.aborts += 1
-                    st.conflict_aborts += 1
-                    if reason == "tmax":
-                        st.tmax_aborts += 1
-                        st.conflict_aborts -= 1
-                    aborts += 1
-                    payload_aborts.append(req.start_ts)
-                    if fut is not None:
-                        fut._reason = reason
-                        fut._row = row
-                    result = CommitResult(
-                        False, req.start_ts, reason=reason, conflict_row=row
-                    )
-                    continue
-                cts = tso.next()
-                rows = self.rows_to_update(req)
-                self._install(rows, cts)
-                st.rows_updated += len(rows)
-                rows_updated_total += len(rows)
-                ct.record_commit(req.start_ts, cts)
-                st.commits += 1
-                commits += 1
-                payload_commits.append((req.start_ts, cts, rows))
-                if fut is not None:
-                    fut._committed = True
-                    fut._commit_ts = cts
-                result = CommitResult(True, req.start_ts, commit_ts=cts)
-            except Exception as exc:
-                start = req if req.__class__ is not CommitRequest else req.start_ts
-                errors.append((start, exc))
-                if fut is not None:
-                    fut._error = exc
-            finally:
-                if results is not None:
-                    results.append(result)
-        rows_checked = st.rows_checked - rows_checked_before
-        return commits, aborts, rows_checked, rows_updated_total
-
-    # ------------------------------------------------------------------
-    # lastCommit plumbing (overridden by the bounded oracle)
-    # ------------------------------------------------------------------
     def _check(self, request: CommitRequest) -> Optional[Tuple[str, RowKey]]:
-        # The lastCommit comparison is identical for every policy; only
-        # the *rows* differ, and the reason tag follows from which rows
-        # are checked (SI and SSI check writes, WSI checks reads).
-        # ``rows_checked`` counts rows actually examined (a conflict stops
-        # the scan) and is bumped once per request, not once per row.
-        reason = "rw-conflict" if self.level == "wsi" else "ww-conflict"
-        lc = self._last_commit
-        start = request.start_ts
-        if lc.__class__ is ArrayLastCommit:
-            # Bulk gather + compare; scalar rescan on suspected conflict
-            # keeps the examined count and conflict row dict-identical.
-            row, examined = lc.scan_conflict(self.rows_to_check(request), start)
-            self.stats.rows_checked += examined
-            if row is not None:
-                return reason, row
+        """Lines 1-5 for one request: ``(reason, row)`` or ``None``.
+        Counts the rows examined (a conflict stops the scan)."""
+        lc, scan, _ = self._hooks()
+        row, examined = scan(self.rows_to_check(request), request.start_ts)
+        self.stats.rows_checked += examined
+        if row is None:
             return None
-        lc_get = lc.get
-        checked = 0
-        for row in self.rows_to_check(request):
-            checked += 1
-            last = lc_get(row)
-            if last is not None and last > start:
-                self.stats.rows_checked += checked
-                return reason, row
-        self.stats.rows_checked += checked
-        return None
-
-    def check_share(
-        self, rows: Iterable[RowKey], start_ts: int
-    ) -> Tuple[Optional[RowKey], int]:
-        """Validate one *share* of a footprint against ``lastCommit``.
-
-        The bulk share-check primitive of the partitioned deployment
-        (§6.3 footnote 6): a coordinator hands each involved partition
-        the rows it owns, and the partition answers with the first
-        conflicting row — scanning ``rows`` in iteration order with the
-        same early stop as a sequential :meth:`commit` — plus how many
-        rows it examined.  Returns ``(conflict_row, rows_examined)``;
-        ``conflict_row`` is ``None`` when every row passes.
-
-        Deliberately side-effect free: no stats, no state.  The caller,
-        :meth:`PartitionedOracle._commit_cross`, owns the accounting.
-        The comparison is the plain lastCommit rule shared by SI and
-        WSI; *which* rows form the share is the caller's level-dependent
-        choice.  The bounded oracle's Tmax
-        refinement is not modelled here — conflict partitions are plain
-        SI/WSI oracles.
-
-        On an array store the scan is the bulk gather+compare
-        (:meth:`~repro.core.lastcommit.ArrayLastCommit.scan_conflict`),
-        with the same first-conflict row and examined count.
-        """
-        lc = self._last_commit
-        if lc.__class__ is ArrayLastCommit:
-            return lc.scan_conflict(rows, start_ts)
-        lc_get = lc.get
-        checked = 0
-        for row in rows:
-            checked += 1
-            last = lc_get(row)
-            if last is not None and last > start_ts:
-                return row, checked
-        return None, checked
+        if row not in lc:
+            return "tmax", row
+        return ("rw-conflict" if self.level == "wsi" else "ww-conflict"), row
 
     def _install(self, rows: Iterable[RowKey], commit_ts: int) -> None:
-        lc = self._last_commit
-        if lc.__class__ is ArrayLastCommit:
-            lc.install(rows, commit_ts)
-            return
-        for row in rows:
-            lc[row] = commit_ts
+        self._hooks()[2](rows, commit_ts)
 
     def last_commit(self, row: RowKey) -> Optional[int]:
         """Expose lastCommit(r) for tests and checkers."""
@@ -995,12 +627,12 @@ class StatusOracle(CommitEngine):
           row's entry is written only when ``commit_ts`` is greater, so
           duplicated or re-polled records are idempotent.
 
-        The kernel runs under exactly ``_decide_batch_fast``'s guard: a
-        plain ``dict`` store and no commit-table subscribers.  Anything
-        else — a subscribed replica, the array store, the bounded LRU
-        store — takes the hook-faithful default (the commit table's
-        record methods, so every subscriber sees every decision, and
-        :meth:`_replay_rows` per commit).
+        The kernel runs on the default store — an exact ``dict`` — with
+        no commit-table subscribers.  Anything else — a subscribed
+        replica, the array store, the bounded store — takes the
+        hook-faithful default (the commit table's record methods, so
+        every subscriber sees every decision, and :meth:`_replay_rows`
+        per commit).
         """
         lc = self._last_commit
         ct = self.commit_table
@@ -1029,13 +661,13 @@ class StatusOracle(CommitEngine):
         return max_ts
 
     def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
-        """The kernel's per-row ``max`` rule, through the store's own
-        mapping surface (array store, or a dict with subscribers)."""
-        lc = self._last_commit
-        lc_get = lc.get
-        for row in rows:
-            if commit_ts > lc_get(row, 0):
-                lc[row] = commit_ts
+        """The store's replay filter, then its install: only rows the
+        record is newer for are written, so re-applying changes nothing
+        (see :func:`~repro.core.lastcommit.newer_rows`)."""
+        lc, _, install = self._hooks()
+        newer = newer_rows(lc, rows, commit_ts)
+        if newer:
+            install(newer, commit_ts)
 
     def seal_recovery(self, max_recovered_ts: int) -> None:
         """Re-seed the timestamp oracle after applying durable records.
@@ -1143,232 +775,35 @@ class BoundedStatusOracle(StatusOracle):
     ) -> None:
         if policy not in ("si", "wsi"):
             raise ValueError(f"policy must be 'si' or 'wsi', not {policy!r}")
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
+        # Algorithm 3 lives in the store: LRU order, eviction, Tmax and
+        # the pessimistic scan (repro.core.lastcommit.BoundedLastCommit).
         super().__init__(
             timestamp_oracle=timestamp_oracle,
             wal=wal,
             naive_read_only=naive_read_only,
+            lastcommit=BoundedLastCommit(
+                make_lastcommit(lastcommit, bounded=True), max_rows
+            ),
         )
         self.level = policy
-        self._max_rows = max_rows
-        # LRU order, oldest first: OrderedDict for the dict backend,
-        # BoundedArrayLastCommit for the array backend — both speak the
-        # pop/popitem(last=False) surface the decide loops use.
-        self._last_commit = make_lastcommit(lastcommit, bounded=True)
-        self.tmax = 0
 
     def rows_to_check(self, request: CommitRequest) -> FrozenSet[RowKey]:
         if self.level == "si":
             return request.write_set
         return request.read_set
 
-    # Algorithm 3, lines 1-11.  As in the base class, ``rows_checked``
-    # counts rows actually examined and is bumped once per request.
-    def _check(self, request: CommitRequest) -> Optional[Tuple[str, RowKey]]:
-        reason = "ww-conflict" if self.level == "si" else "rw-conflict"
-        lc_get = self._last_commit.get
-        tmax = self.tmax
-        start = request.start_ts
-        checked = 0
-        for row in self.rows_to_check(request):
-            checked += 1
-            last = lc_get(row)
-            if last is not None:
-                if last > start:  # line 3
-                    self.stats.rows_checked += checked
-                    return reason, row
-            elif tmax > start:  # line 7
-                self.stats.rows_checked += checked
-                return "tmax", row
-        self.stats.rows_checked += checked
-        return None
-
-    def _install(self, rows: Iterable[RowKey], commit_ts: int) -> None:
-        lc = self._last_commit
-        for row in rows:
-            if row in lc:
-                lc.pop(row)
-            lc[row] = commit_ts
-            if len(lc) > self._max_rows:
-                _, evicted_ts = lc.popitem(last=False)
-                if evicted_ts > self.tmax:
-                    self.tmax = evicted_ts
-
-    def _replay_rows(self, rows, commit_ts: int, start_ts: int) -> None:
-        """Replay keeps Algorithm 3's bound: the rows go through
-        :meth:`_install` (LRU order, eviction, ``tmax``), and a row is
-        skipped unless ``commit_ts`` exceeds what the oracle knows of it
-        — ``lastCommit(row)``, or ``tmax`` for an absent row, whose
-        evicted entry may be newer.  Re-applying a record therefore
-        changes nothing."""
-        lc_get = self._last_commit.get
-        tmax = self.tmax
-        newer = []
-        for row in rows:
-            last = lc_get(row)
-            if commit_ts > (tmax if last is None else last):
-                newer.append(row)
-        self._install(newer, commit_ts)
-
-    def _decide_batch(self, batch, payload_commits, payload_aborts, errors,
-                      results=None):
-        """Bounded-oracle batch loop: the fast-loop structure with the
-        Algorithm 3 refinements inlined — Tmax pessimistic aborts, LRU
-        reinsertion on install, eviction bookkeeping — plus deferred
-        stats.  LRU order and Tmax evolve exactly as under sequential
-        ``commit()`` calls (per-request install order is preserved)."""
-        if self._closed:
-            raise OracleClosed("status oracle is closed")
-        tso = self._tso
-        if tso._closed:
-            raise OracleClosed("timestamp oracle is closed")
-        lc = self._last_commit
-        lc_get = lc.get
-        lc_popitem = lc.popitem
-        max_rows = self._max_rows
-        tmax = self.tmax
-        ct = self.commit_table
-        check_reads = self.level == "wsi"
-        exempt_ro = not self.naive_read_only
-        reason_tag = "rw-conflict" if check_reads else "ww-conflict"
-        pc_append = payload_commits.append
-        pa_append = payload_aborts.append
-        res_append = results.append if results is not None else None
-        nxt = tso._next
-        reserved = tso._reserved_until
-        commits = conflict_aborts = tmax_aborts = client_aborts = 0
-        ro_commits = issued = 0
-        rows_checked = rows_updated = 0
-        try:
-            for item in batch:
-                req, fut = item if item.__class__ is tuple else (item, None)
-                if req.__class__ is not CommitRequest:
-                    start = req  # client-initiated abort
-                    try:
-                        ct.record_abort(start)
-                    except Exception as exc:
-                        errors.append((start, exc))
-                        if fut is not None:
-                            fut._error = exc
-                        if res_append is not None:
-                            res_append(None)
-                        continue
-                    client_aborts += 1
-                    pa_append(start)
-                    if fut is not None:
-                        fut._reason = CLIENT_ABORT
-                    if res_append is not None:
-                        res_append(
-                            CommitResult(False, start, reason=CLIENT_ABORT)
-                        )
-                    continue
-                start = req.start_ts
-                ws = req.write_set
-                if not ws and (exempt_ro or not req.read_set):
-                    ro_commits += 1
-                    if fut is not None:
-                        fut._committed = True
-                    if res_append is not None:
-                        res_append(CommitResult(True, start, commit_ts=None))
-                    continue
-                # Algorithm 3 lines 1-11, scanning in frozenset order.
-                conflict = None
-                for row in (req.read_set if check_reads else ws):
-                    rows_checked += 1
-                    last = lc_get(row)
-                    if last is not None:
-                        if last > start:
-                            conflict = (reason_tag, row)
-                            break
-                    elif tmax > start:
-                        conflict = ("tmax", row)
-                        break
-                if conflict is not None:
-                    reason, row = conflict
-                    try:
-                        ct.record_abort(start)
-                    except Exception as exc:
-                        errors.append((start, exc))
-                        if fut is not None:
-                            fut._error = exc
-                        if res_append is not None:
-                            res_append(None)
-                        continue
-                    if reason == "tmax":
-                        tmax_aborts += 1
-                    else:
-                        conflict_aborts += 1
-                    pa_append(start)
-                    if fut is not None:
-                        fut._reason = reason
-                        fut._row = row
-                    if res_append is not None:
-                        res_append(
-                            CommitResult(
-                                False, start, reason=reason, conflict_row=row
-                            )
-                        )
-                    continue
-                # commit: assign Tc, LRU-install the write set.
-                if nxt > reserved:
-                    tso._next = nxt
-                    tso._reserve()
-                    reserved = tso._reserved_until
-                cts = nxt
-                nxt += 1
-                issued += 1
-                for row in ws:
-                    if row in lc:
-                        lc.pop(row)
-                    lc[row] = cts
-                    if len(lc) > max_rows:
-                        _, evicted_ts = lc_popitem(last=False)
-                        if evicted_ts > tmax:
-                            tmax = evicted_ts
-                rows_updated += len(ws)
-                try:
-                    ct.record_commit(start, cts)
-                except Exception as exc:
-                    errors.append((start, exc))
-                    if fut is not None:
-                        fut._error = exc
-                    if res_append is not None:
-                        res_append(None)
-                    continue
-                commits += 1
-                pc_append((start, cts, ws))
-                if fut is not None:
-                    fut._committed = True
-                    fut._commit_ts = cts
-                if res_append is not None:
-                    res_append(CommitResult(True, start, commit_ts=cts))
-        finally:
-            self.tmax = tmax
-            tso._next = nxt
-            tso._issued += issued
-            st = self.stats
-            st.commits += commits + ro_commits
-            st.read_only_commits += ro_commits
-            st.aborts += conflict_aborts + tmax_aborts + client_aborts
-            st.conflict_aborts += conflict_aborts
-            st.tmax_aborts += tmax_aborts
-            st.rows_checked += rows_checked
-            st.rows_updated += rows_updated
-        return (
-            commits + ro_commits,
-            conflict_aborts + tmax_aborts + client_aborts,
-            rows_checked,
-            rows_updated,
-        )
+    @property
+    def tmax(self) -> int:
+        """The highest commit timestamp evicted so far (Appendix A)."""
+        return self._last_commit.tmax
 
     @property
     def max_rows(self) -> int:
-        return self._max_rows
+        return self._last_commit.max_rows
 
     def memory_budget_rows(self) -> int:
         """Rows representable per Appendix A's 32 B/entry estimate."""
-        return self._max_rows
+        return self._last_commit.max_rows
 
     @staticmethod
     def rows_for_memory(memory_bytes: int) -> int:

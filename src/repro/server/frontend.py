@@ -539,7 +539,7 @@ class OracleFrontend:
     # enqueue/trigger sequence instead of sharing a helper: submit is on
     # the measured hot path (benchmark E17's >=3x bar), and one extra
     # Python call per request costs more than the duplication saves.
-    # Change one, change all four.
+    # An edit to one of them applies to all four.
     # ------------------------------------------------------------------
     @property
     def backend(self) -> Any:

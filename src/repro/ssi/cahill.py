@@ -175,9 +175,9 @@ class SerializableSIOracle(StatusOracle):
                       results=None):
         """Bulk rw-antidependency pass for a whole flush.
 
-        The generic :class:`StatusOracle` loop would skip the pivot
-        check entirely (it only knows ``_check``/``_install``), so SSI
-        supplies its own engine.  Observationally equivalent to
+        The :class:`StatusOracle` loop would skip the pivot check
+        entirely (it only knows the store's scan and install hooks), so
+        SSI supplies its own engine around the same two hooks.  Observationally equivalent to
         :meth:`commit`/:meth:`abort` in batch order — same decisions,
         commit timestamps, lastCommit, commit table, stats,
         ``pivot_aborts`` and retained footprints — with the edge scan
@@ -202,11 +202,7 @@ class SerializableSIOracle(StatusOracle):
         tso = self._tso
         if tso._closed:
             raise OracleClosed("timestamp oracle is closed")
-        lc = self._last_commit
-        lc_get = lc.get
-        lc_update = lc.update
-        lc_isdisjoint = lc.keys().isdisjoint
-        fromkeys = dict.fromkeys
+        _, scan, install = self._hooks()
         ct = self.commit_table
         # Replicas subscribed to the commit table must see every decision,
         # so only bypass its record methods when nobody is listening.
@@ -305,18 +301,11 @@ class SerializableSIOracle(StatusOracle):
                     if res_append is not None:
                         res_append(CommitResult(True, start, commit_ts=None))
                     continue
-                # Phase 1: SI's write-write check, kept verbatim.
+                # Phase 1: SI's write-write check (the store's scan).
                 conflict_row = None
                 if ws:
-                    if lc_isdisjoint(ws):
-                        rows_checked += len(ws)
-                    else:
-                        for row in ws:
-                            rows_checked += 1
-                            last = lc_get(row)
-                            if last is not None and last > start:
-                                conflict_row = row
-                                break
+                    conflict_row, examined = scan(ws, start)
+                    rows_checked += examined
                 if conflict_row is not None:
                     try:
                         if fast_ct:
@@ -420,7 +409,7 @@ class SerializableSIOracle(StatusOracle):
                 cts = nxt
                 nxt += 1
                 issued += 1
-                lc_update(fromkeys(ws, cts))
+                install(ws, cts)
                 rows_updated += len(ws)
                 try:
                     if fast_ct:

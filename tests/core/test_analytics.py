@@ -9,6 +9,7 @@ from repro.core.analytics import (
     RowRange,
 )
 from repro.core.status_oracle import CommitRequest
+from repro.wal.bookkeeper import BookKeeperWAL, WALTail
 
 
 def oltp_commit(oracle, writes=(), reads=()):
@@ -186,3 +187,50 @@ class TestAnalyticalOracle:
             AnalyticalCommitRequest(scan_ts, (RowRange(0, 10 ** 9),))
         )
         assert result.committed
+
+
+class TestRangeIndexFollowsEveryWriter:
+    """The range check must see a row whichever path wrote it into
+    ``lastCommit``: a live decision (sequential or batched), a cold WAL
+    replay, or a warm standby's tail catch-up — on either store."""
+
+    @pytest.mark.parametrize("lastcommit", ["dict", "array"])
+    @pytest.mark.parametrize(
+        "writer", ["commit", "decide_batch", "recover_from", "wal-tail"]
+    )
+    def test_row_written_after_the_scan_started_aborts_it(
+        self, writer, lastcommit
+    ):
+        wal = BookKeeperWAL()
+        live = AnalyticalOracle(wal=wal, lastcommit=lastcommit)
+        oltp_commit(live, writes={7})  # in range, before the reader
+        reader = live.begin()
+        # An earlier range check, so a stale index would be in place.
+        probe = live.commit_analytical(
+            AnalyticalCommitRequest(live.begin(), (RowRange(0, 10),))
+        )
+        assert probe.committed
+        request = CommitRequest(live.begin(), write_set=frozenset({5}))
+        if writer == "decide_batch":
+            live.decide_batch([request])
+        else:
+            live.commit(request)
+        wal.flush()
+
+        oracle = live
+        if writer == "recover_from":
+            oracle = AnalyticalOracle(lastcommit=lastcommit)
+            oracle.recover_from(wal)
+        elif writer == "wal-tail":
+            oracle = AnalyticalOracle(lastcommit=lastcommit)
+            floor = 0
+            for record in WALTail(wal).poll():
+                floor = max(floor, oracle.apply_wal_record(record))
+            oracle.seal_recovery(floor)
+
+        result = oracle.commit_analytical(
+            AnalyticalCommitRequest(reader, (RowRange(0, 10),))
+        )
+        assert not result.committed
+        assert result.reason == "rw-conflict"
+        assert result.conflict_row == RowRange(0, 10)

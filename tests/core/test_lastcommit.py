@@ -1,4 +1,5 @@
-"""ArrayLastCommit: mapping parity with dict, scans, resets, the factory.
+"""The lastCommit stores: mapping parity, scans, resets, the factory,
+and every store's rules against test-local references.
 
 The array backend's whole claim is *representation change, zero
 semantics change*: every test here drives the store and a plain dict
@@ -6,20 +7,29 @@ through the same operations and requires identical observable state.
 ``scan_conflict`` additionally must match the dict backend's scan
 *accounting* — same first conflict row, same examined count — because
 the decide loops fold both into pinned stats.
+
+The sequential ``commit()`` and the batch loop call the same store
+hooks, so comparing them cannot catch a wrong rule in a store.
+``TestStoreRules`` therefore checks each store's ``scan`` / ``install``
+/ replay against the paper's rules written out here, independently.
 """
 
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.keyspace import KeyInterner
 from repro.core.lastcommit import (
     ArrayLastCommit,
     BoundedArrayLastCommit,
+    BoundedLastCommit,
     LASTCOMMIT_ENV,
     NUMPY_MIN_ROWS,
     default_lastcommit_kind,
     make_lastcommit,
+    newer_rows,
+    store_hooks,
 )
 
 
@@ -32,6 +42,34 @@ def dict_scan(mapping, rows, start_ts):
         if last is not None and last > start_ts:
             return row, examined
     return None, examined
+
+
+def tmax_scan(mapping, tmax, rows, start_ts):
+    """Algorithm 3, lines 1-11: the first-conflict scan, where a row
+    missing from memory conflicts when ``tmax > start_ts``."""
+    examined = 0
+    for row in rows:
+        examined += 1
+        last = mapping.get(row)
+        if last is None:
+            if tmax > start_ts:
+                return row, examined
+        elif last > start_ts:
+            return row, examined
+    return None, examined
+
+
+def lru_install(mapping, max_rows, tmax, rows, commit_ts):
+    """Algorithm 3's install on an ``OrderedDict``: each row moves to
+    the MRU end; past ``max_rows`` the LRU row is evicted and ``tmax``
+    rises to its timestamp.  Returns the new ``tmax``."""
+    for row in rows:
+        mapping.pop(row, None)
+        mapping[row] = commit_ts
+        if len(mapping) > max_rows:
+            _, evicted = mapping.popitem(last=False)
+            tmax = max(tmax, evicted)
+    return tmax
 
 
 class TestMappingParity:
@@ -233,3 +271,90 @@ class TestFactory:
         store = ArrayLastCommit(interner)
         assert make_lastcommit(store) is store
         assert store.interner is interner
+
+
+MAX_ROWS = 4
+
+#: name -> (store factory, max_rows or None for an unbounded store)
+STORES = {
+    "dict": (dict, None),
+    "array": (ArrayLastCommit, None),
+    "bounded-dict": (
+        lambda: BoundedLastCommit(OrderedDict(), MAX_ROWS), MAX_ROWS
+    ),
+    "bounded-array": (
+        lambda: BoundedLastCommit(BoundedArrayLastCommit(), MAX_ROWS),
+        MAX_ROWS,
+    ),
+}
+
+row_keys = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "c"]))
+row_sets = st.tuples(
+    st.lists(row_keys, max_size=6, unique=True),
+    st.sampled_from([tuple, list, frozenset]),
+).map(lambda drawn: drawn[1](drawn[0]))
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["scan", "install", "replay"]),
+        row_sets,
+        st.integers(1, 30),
+    ),
+    max_size=25,
+)
+
+
+class TestStoreRules:
+    """Each store against the rules above, operation by operation."""
+
+    @pytest.mark.parametrize("name", sorted(STORES))
+    @given(ops=operations)
+    @settings(max_examples=150, deadline=None)
+    def test_store_follows_the_reference_rules(self, name, ops):
+        factory, max_rows = STORES[name]
+        store = factory()
+        scan, install = store_hooks(store)
+        ref, tmax = OrderedDict(), 0
+
+        def ref_install(rows, ts):
+            nonlocal tmax
+            if max_rows is None:
+                ref.update(dict.fromkeys(rows, ts))
+            else:
+                tmax = lru_install(ref, max_rows, tmax, rows, ts)
+
+        def state():
+            order = list(store.items()) if max_rows else sorted(
+                store.items(), key=repr
+            )
+            return order, store.tmax if max_rows else 0
+
+        for op, rows, ts in ops:
+            if op == "scan":
+                expected = (
+                    dict_scan(ref, rows, ts)
+                    if max_rows is None
+                    else tmax_scan(ref, tmax, rows, ts)
+                )
+                assert scan(rows, ts) == expected
+            elif op == "install":
+                install(rows, ts)
+                ref_install(rows, ts)
+            else:
+                floor = tmax if max_rows else 0
+                expected = [row for row in rows if ts > ref.get(row, floor)]
+                newer = newer_rows(store, rows, ts)
+                assert newer == expected
+                install(newer, ts)
+                ref_install(expected, ts)
+                # Re-applying the same record changes nothing.
+                before = state()
+                again = newer_rows(store, rows, ts)
+                assert again == []
+                install(again, ts)
+                assert state() == before
+            if max_rows is None:
+                assert dict(store) == dict(ref)
+            else:
+                assert list(store.items()) == list(ref.items())
+                assert store.tmax == tmax
+            assert len(store) == len(ref)

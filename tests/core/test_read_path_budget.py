@@ -15,6 +15,7 @@ commit, where it fails at 11 frames + 5 per further version examined.)
 """
 
 import inspect
+import gc
 import sys
 
 import pytest
@@ -33,11 +34,17 @@ def frames_entered(fn, *args):
         if event == "call":
             entered.append(frame.f_code)
 
+    # A collection inside the window would add the frames of whatever
+    # gc.callbacks are installed (hypothesis installs one): hold it off.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return result, entered
 
 
