@@ -82,11 +82,11 @@ check:
 		tests/engines tests/server tests/sim tests/coord
 	PYTHONHASHSEED=0 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
-		tests/coord/test_failover.py tests/server/test_ha.py \
+		tests/server/test_failover.py tests/server/test_ha.py \
 		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 	PYTHONHASHSEED=31337 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
-		tests/coord/test_failover.py tests/server/test_ha.py \
+		tests/server/test_failover.py tests/server/test_ha.py \
 		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 
 ## cProfile the batch-decide frontend microbench and print the top-20

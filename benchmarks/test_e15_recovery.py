@@ -15,8 +15,8 @@ import time
 import pytest
 
 from repro.bench import format_table
-from repro.coord import OracleReplicaSet
 from repro.core.status_oracle import CommitRequest
+from repro.server import ReplicatedFrontend, ReplicatedOracleFacade
 from repro.workload import complex_workload
 
 
@@ -24,12 +24,14 @@ def run_recovery_sweep():
     sizes = [1_000, 5_000, 20_000]
     results = []
     for size in sizes:
-        replica_set = OracleReplicaSet(num_hosts=2, level="wsi")
+        # Cold takeover: the promoted host replays the whole log.
+        replica_set = ReplicatedFrontend(num_hosts=2, level="wsi", warm=False)
+        oracle = ReplicatedOracleFacade(replica_set)
         wl = complex_workload(distribution="uniform", keyspace=1_000_000, seed=101)
         committed = 0
         for spec in wl.stream(size):
-            ts = replica_set.begin()
-            result = replica_set.commit(
+            ts = oracle.begin()
+            result = oracle.commit(
                 CommitRequest(
                     ts,
                     write_set=frozenset(spec.write_rows),

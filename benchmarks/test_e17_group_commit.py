@@ -111,7 +111,7 @@ def test_e17_group_commit_speedup(benchmark, print_header):
 def test_e17_batch_size_sweep_monotone(print_header):
     print_header("E17b — batch-size sweep (WSI + SI, seed-default WAL baseline)")
     for level in ("si", "wsi"):
-        results = sweep_batch_sizes(level, batch_sizes=BATCH_SIZES, repeats=2)
+        results = sweep_batch_sizes(level, batch_sizes=BATCH_SIZES, repeats=3)
         print(
             format_table(
                 ["level", "mode", "batch", "ops/s", "us/op", "wal recs", "entries"],

@@ -26,8 +26,8 @@ import pytest
 
 from repro.bench import format_table
 from repro.bench.snapshot import record
-from repro.coord import OracleReplicaSet
 from repro.core.status_oracle import CommitRequest
+from repro.server import ReplicatedFrontend, ReplicatedOracleFacade
 from repro.sim.frontend_sim import GroupCommitSim
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -49,29 +49,33 @@ SUSTAIN_BAR = 0.7 if SMOKE else 0.8
 def _load_replica_set(warm):
     """Drive WAL_RECORDS committed writes through a replica set.
 
-    Warm standbys tail the shared WAL on the replica set's own
-    clock-driven :class:`~repro.coord.failover.CatchUpCadence` (a
-    manual clock the loader ticks once per commit, POLL_EVERY ticks per
-    interval): when the cadence comes due, the commit path itself
-    flushes the ledger and polls the standby tails, so the takeover
-    delta stays bounded by the cadence — not by a hand-rolled
-    commit-count modulus in the driver."""
+    The writes go through the synchronous
+    :class:`~repro.server.ha.ReplicatedOracleFacade`, one durable
+    group-commit record per decision.  Warm standbys tail the shared
+    WAL on the replica set's own clock-driven
+    :class:`~repro.server.ha.CatchUpCadence` (a manual clock the loader
+    ticks once per commit, POLL_EVERY ticks per interval): when the
+    cadence comes due, the commit path itself flushes the ledger and
+    polls the standby tails, so the takeover delta stays bounded by the
+    cadence — not by a hand-rolled commit-count modulus in the driver.
+    Returns the facade; ``.replicated`` is the replica set."""
     clock = [0.0]
-    rs = OracleReplicaSet(
+    rs = ReplicatedFrontend(
         num_hosts=2,
         level="wsi",
         warm=warm,
         catch_up_interval=POLL_EVERY if warm else None,
         clock=lambda: clock[0],
     )
+    oracle = ReplicatedOracleFacade(rs)
     for i in range(WAL_RECORDS):
         clock[0] += 1.0
-        ts = rs.begin()
-        rs.commit(CommitRequest(ts, write_set=frozenset({f"row{i}"})))
+        ts = oracle.begin()
+        oracle.commit(CommitRequest(ts, write_set=frozenset({f"row{i}"})))
     rs.wal.flush()
     if warm:
         rs.standby_catch_up()
-    return rs
+    return oracle
 
 
 @pytest.mark.figure("e22")
@@ -82,7 +86,8 @@ def test_e22_warm_failover_speedup(print_header):
     rows = []
     results = {}
     for mode, warm in (("cold", False), ("warm", True)):
-        rs = _load_replica_set(warm)
+        oracle = _load_replica_set(warm)
+        rs = oracle.replicated
         # every timestamp the old regime issued (begins + commit ts)
         table = rs.active_host().oracle.commit_table
         used = set(table._commits) | set(table._commits.values())
@@ -91,10 +96,10 @@ def test_e22_warm_failover_speedup(print_header):
         results[mode] = host
         # service continues, and no timestamp is ever reissued
         for i in range(50):
-            ts = rs.begin()
+            ts = oracle.begin()
             assert ts not in used
             used.add(ts)
-            result = rs.commit(
+            result = oracle.commit(
                 CommitRequest(ts, write_set=frozenset({f"post{i}"}))
             )
             if result.committed:

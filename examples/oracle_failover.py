@@ -8,26 +8,31 @@ instances behind a ZooKeeper leader election.  When the active oracle
 dies, the next candidate wins the election, replays the WAL, and keeps
 serving with all pre-failure conflict state intact.
 
+The replica set is :class:`~repro.server.ReplicatedFrontend`, cold
+standbys (each takeover replays the whole log); this script talks to it
+through the synchronous :class:`~repro.server.ReplicatedOracleFacade`,
+whose every returned decision is already durable on the ledger quorum.
+
 Run:  python examples/oracle_failover.py
 """
 
-from repro.coord import OracleReplicaSet
 from repro.core.status_oracle import CommitRequest
+from repro.server import ReplicatedFrontend, ReplicatedOracleFacade
 
 
 def main() -> None:
-    replica_set = OracleReplicaSet(num_hosts=3, level="wsi")
+    replica_set = ReplicatedFrontend(num_hosts=3, level="wsi", warm=False)
+    oracle = ReplicatedOracleFacade(replica_set)
     print(f"replica set up: 3 hosts, host {replica_set.active_host().host_id} "
           "elected leader")
 
     # Normal traffic.
-    long_running = replica_set.begin()  # an old snapshot we'll test later
+    long_running = oracle.begin()  # an old snapshot we'll test later
     for i in range(100):
-        ts = replica_set.begin()
-        replica_set.commit(
+        ts = oracle.begin()
+        oracle.commit(
             CommitRequest(ts, write_set=frozenset({f"row{i % 10}"}))
         )
-    replica_set.wal.flush()
     print("100 transactions committed and persisted "
           f"(flushes: {replica_set.wal.flush_count})")
 
@@ -40,7 +45,7 @@ def main() -> None:
     # The recovered oracle still detects conflicts that predate the crash:
     # `long_running` started before all 100 commits, so its read of row0
     # conflicts with writes committed during its lifetime.
-    result = replica_set.commit(
+    result = oracle.commit(
         CommitRequest(
             long_running,
             write_set=frozenset({"output"}),
@@ -52,8 +57,8 @@ def main() -> None:
           "- conflict state survived the failover")
 
     # And fresh traffic flows normally, with timestamps that never collide.
-    ts = replica_set.begin()
-    result = replica_set.commit(CommitRequest(ts, write_set=frozenset({"new"})))
+    ts = oracle.begin()
+    result = oracle.commit(CommitRequest(ts, write_set=frozenset({"new"})))
     print(f"fresh transaction: committed at ts {result.commit_ts} "
           f"(all timestamps > pre-crash ones: reservation marks are durable)")
 

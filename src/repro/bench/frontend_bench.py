@@ -313,28 +313,39 @@ def sweep_batch_sizes(
 ) -> List[FrontendBenchResult]:
     """Unbatched baseline plus one batched run per batch size.
 
-    A/B runs interleave: the unbatched baseline is re-measured after the
-    batched sweep and the better of the two baselines kept, so slow drift
-    within the process cannot flatter either side.
+    A/B runs interleave in rounds: each of ``repeats`` rounds measures
+    the unbatched baseline and then every batch size once, the baseline
+    is measured once more after the last round, and every configuration
+    reports its best run.  A slow machine phase then has to hit every
+    round to sink one configuration, and slow drift within the process
+    cannot flatter either side.
     """
     specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
-    baseline_a = bench_unbatched(level, specs, repeats=repeats, partitions=partitions)
-    batched = [
-        bench_batched(
-            level,
-            specs,
-            batch_size=b,
-            repeats=repeats,
-            partitions=partitions,
-            use_futures=use_futures,
-        )
-        for b in batch_sizes
-    ]
-    baseline_b = bench_unbatched(level, specs, repeats=repeats, partitions=partitions)
-    baseline = (
-        baseline_a if baseline_a.ops_per_sec >= baseline_b.ops_per_sec else baseline_b
-    )
-    return [baseline] + batched
+    best = {}
+
+    def keep(key, result):
+        if key not in best or result.ops_per_sec > best[key].ops_per_sec:
+            best[key] = result
+
+    def baseline_run():
+        keep(None, bench_unbatched(level, specs, repeats=1, partitions=partitions))
+
+    for _ in range(repeats):
+        baseline_run()
+        for b in batch_sizes:
+            keep(
+                b,
+                bench_batched(
+                    level,
+                    specs,
+                    batch_size=b,
+                    repeats=1,
+                    partitions=partitions,
+                    use_futures=use_futures,
+                ),
+            )
+    baseline_run()
+    return [best[None]] + [best[b] for b in batch_sizes]
 
 
 def speedup(results: Sequence[FrontendBenchResult], batch_size: int) -> float:

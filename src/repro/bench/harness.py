@@ -299,28 +299,28 @@ def profile_recovery(
     replayed decision.
 
     Builds a group-commit log through the real serving path: a
-    :class:`~repro.coord.failover.OracleHost` leader's WSI oracle behind
-    an :class:`~repro.server.OracleFrontend` with ``max_batch=batch``,
-    fed ``decisions`` uniform requests (2-4 reads, 1-3 writes over
-    ``keyspace`` rows) whose begins precede their batch.  Then times,
-    best of ``repeats``, a cold ``recover_from`` into a fresh engine and
-    one warm ``OracleHost.catch_up`` that polls the whole log into a
-    fresh standby.  Both run the engine's ``apply_wal_record`` once per
+    :class:`~repro.server.ha.FrontendHost` leader's WSI oracle behind
+    the :class:`~repro.server.OracleFrontend` it builds at promotion
+    with ``max_batch=batch``, fed ``decisions`` uniform requests (2-4
+    reads, 1-3 writes over ``keyspace`` rows) whose begins precede
+    their batch.  Then times, best of ``repeats``, a cold
+    ``recover_from`` into a fresh engine and one warm
+    ``FrontendHost.catch_up`` that polls the whole log into a fresh
+    standby.  Both run the engine's ``apply_wal_record`` once per
     record — the loop ``recovery.replay_us_per_record`` and
     ``ha.catch_up_us`` measure end to end.
     """
-    from repro.coord.failover import OracleHost
     from repro.coord.zookeeper import ZooKeeper
     from repro.core.engine import make_engine
     from repro.core.status_oracle import CommitRequest
-    from repro.server.frontend import OracleFrontend
+    from repro.server.ha import FrontendHost
     from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
 
     wal = BookKeeperWAL()
     zk = ZooKeeper()
-    leader = OracleHost(0, zk, wal)
+    leader = FrontendHost(0, zk, wal, frontend_config={"max_batch": batch})
     engine = leader.oracle
-    frontend = OracleFrontend(engine, max_batch=batch)
+    frontend = leader.frontend
     rng = random.Random(seed)
     rows = range(keyspace)
     for _ in range(decisions // batch):
@@ -343,7 +343,7 @@ def profile_recovery(
 
     cold_ns = min(_timed_ns(cold) for _ in range(repeats))
     warm_ns = min(
-        _timed_ns(OracleHost(1 + i, zk, wal, warm=True).catch_up)
+        _timed_ns(FrontendHost(1 + i, zk, wal).catch_up)
         for i in range(repeats)
     )
     out = {

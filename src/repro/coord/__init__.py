@@ -1,18 +1,15 @@
-"""Coordination substrate: ZooKeeper-style service + oracle failover.
+"""Coordination substrate: a ZooKeeper-style service.
 
 Public surface:
 
 * :class:`ZooKeeper` / :class:`Session` — znodes, ephemerals,
   sequentials, one-shot watches.
 * :class:`LeaderElection` — the standard recipe (predecessor watching).
-* :class:`OracleReplicaSet` / :class:`OracleHost` — replicated commit
-  engine with election-driven WAL-recovery failover (Appendix A); the
-  ``engine=`` knob replicates any
-  :func:`~repro.core.engine.make_engine` protocol.
-* :class:`CatchUpCadence` — clock-driven warm-standby poll scheduling.
+
+The election-driven WAL-recovery failover built on it (Appendix A)
+lives in the serving tier: :class:`~repro.server.ha.ReplicatedFrontend`.
 """
 
-from repro.coord.failover import CatchUpCadence, OracleHost, OracleReplicaSet
 from repro.coord.zookeeper import (
     BadVersionError,
     EventType,
@@ -39,7 +36,4 @@ __all__ = [
     "NotEmptyError",
     "BadVersionError",
     "SessionExpiredError",
-    "OracleReplicaSet",
-    "OracleHost",
-    "CatchUpCadence",
 ]

@@ -62,7 +62,7 @@ Durability and recovery
     ``recover_from(wal)`` replays a log through it;
     ``seal_recovery(max_ts)`` re-seeds the timestamp oracle above
     everything recovered.  These three are what make an engine
-    HA-capable: :class:`~repro.coord.failover.OracleHost` warm
+    HA-capable: :class:`~repro.server.ha.FrontendHost` warm
     standbys tail the shared WAL through the same hooks.
 
 Observability
@@ -277,7 +277,7 @@ class CommitEngine:
         This is the single record-application authority, and the only
         record-kind dispatch: :meth:`recover_from` loops it over a full
         replay, and a *warm standby*
-        (:class:`~repro.coord.failover.OracleHost` tailing the leader's
+        (:class:`~repro.server.ha.FrontendHost` tailing the leader's
         WAL through a :class:`~repro.wal.bookkeeper.WALTail`) applies
         records incrementally as they become durable — identical state
         either way, which is what makes an O(delta) takeover safe.  A
@@ -384,7 +384,7 @@ def default_engine_kind() -> str:
     the ``REPRO_ENGINE`` environment variable, then ``"oracle"``.
 
     The protocol-agnostic entry points (:class:`ReplicatedFrontend`,
-    :class:`OracleReplicaSet`, :class:`GroupCommitSim`) resolve their
+    :class:`GroupCommitSim`) resolve their
     ``engine=None`` default through this, so ``make check`` can sweep
     the whole serving stack across protocols by exporting the
     variable.  Layers with a protocol-specific contract (e.g.

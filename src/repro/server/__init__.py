@@ -204,10 +204,14 @@ High availability: the replicated serving tier
 
 Appendix A's failure story — "another fresh instance of the status
 oracle could still recreate the memory state from the write-ahead log
-and continue servicing the commit requests" — is lifted to *this* layer
-by :class:`ReplicatedFrontend` (:mod:`repro.server.ha`): N candidate
-:class:`~repro.server.ha.FrontendHost`\\ s behind a ZooKeeper leader
-election, sharing one replicated WAL.  Three design decisions carry it:
+and continue servicing the commit requests" — has one implementation,
+at *this* layer: :class:`ReplicatedFrontend` (:mod:`repro.server.ha`),
+N candidate :class:`~repro.server.ha.FrontendHost`\\ s behind a
+ZooKeeper leader election, sharing one replicated WAL.  The elected
+host recovers a commit engine from the WAL and serves a group-commit
+frontend over it; synchronous callers that want decisions inline go
+through :class:`ReplicatedOracleFacade`.  Three design decisions carry
+it:
 
 * **Settlement moves from flush to durability.**  A single frontend may
   equate "decided" with "acknowledged" — nothing else can take over —

@@ -3,16 +3,24 @@
 Appendix A sketches the failure story for the status oracle: "the same
 status oracle after recovery, or another fresh instance of the status
 oracle could still recreate the memory state from the write-ahead log
-and continue servicing the commit requests."  :mod:`repro.coord.failover`
-provides that for the bare oracle; this module lifts it to the *serving
-tier* — the group-commit :class:`~repro.server.frontend.OracleFrontend`
-clients actually talk to — and closes the client-visible gaps a bare
-oracle failover leaves open:
+and continue servicing the commit requests."  In the deployment this
+needs an arbiter so exactly one instance serves at a time — the
+ZooKeeper leader election (:class:`~repro.coord.zookeeper.LeaderElection`).
+This module is that story's one implementation: N candidate
+:class:`FrontendHost`\\ s over a shared (replicated) WAL, the elected
+one serving the group-commit
+:class:`~repro.server.frontend.OracleFrontend` clients actually talk to.
+It also closes the client-visible gaps that recovering the oracle
+alone leaves open:
 
-* **Warm standby** — every candidate host runs a standby oracle that
-  tails the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`), so
-  takeover applies only the un-polled suffix: O(delta), not a full
-  replay (benchmark E22's failover leg).
+* **Takeover temperature** — a *cold* host replays the entire WAL
+  through :meth:`~repro.core.engine.CommitEngine.recover_from` (cost
+  grows with history); a *warm* one runs a standby engine that tails
+  the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`), so takeover
+  applies only the un-polled suffix: O(delta), not a full replay
+  (benchmark E22's failover leg), then
+  :meth:`~repro.core.engine.CommitEngine.seal_recovery` re-seeds the
+  timestamp oracle above everything durable.
 * **Request survival** — a client's in-flight request must not strand
   when the leader dies mid-batch.  :class:`ReplicatedFrontend` hands
   out futures that resolve only at *durability* (the WAL sync for the
@@ -36,21 +44,22 @@ frontend's flush-time settlement: a single-host deployment equates
 "decided" with "will survive" because there is nothing else to take
 over, but a replicated tier must not acknowledge a decision the next
 leader might not recover.  The cost is one WAL sync of latency; the
-drive loop (:meth:`ReplicatedFrontend.flush`) bounds it.
+drive loop (:meth:`ReplicatedFrontend.flush`) bounds it.  Synchronous
+callers that want inline decisions use :class:`ReplicatedOracleFacade`.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.engine import CommitEngine, default_engine_kind, make_engine
 from repro.core.errors import OracleClosed, Overloaded
 from repro.core.status_oracle import CommitRequest, CommitResult
-from repro.coord.failover import CatchUpCadence, OracleHost
-from repro.core.engine import default_engine_kind
-from repro.coord.zookeeper import ZooKeeper
+from repro.coord.zookeeper import LeaderElection, Session, ZooKeeper
 from repro.server.frontend import CommitFuture, FlushedBatch, OracleFrontend
 from repro.server.retry import RetryPolicy
-from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
+from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL, WALTail
 
 
 class HAFuture(CommitFuture):
@@ -117,15 +126,53 @@ class HAFuture(CommitFuture):
         self._fire_callbacks()
 
 
-class FrontendHost(OracleHost):
-    """An :class:`OracleHost` that serves a group-commit frontend.
+class CatchUpCadence:
+    """Clock-driven scheduling for warm-standby catch-up polls.
 
-    Promotion (:meth:`OracleHost._become_active`) recovers the oracle —
-    warm catch-up or cold replay — and the :meth:`_on_active` hook then
-    builds an :class:`OracleFrontend` over it with this deployment's
-    batching/admission configuration.  ``on_promoted`` lets the owning
-    :class:`ReplicatedFrontend` re-attach its listeners and retry loop
-    to each successive leader.
+    A commit-count modulus ("every Nth commit") would couple the poll
+    rate to throughput: an idle deployment never polls (takeover delta
+    grows unbounded in time) and a hot one polls more often than the
+    tail needs.  The cadence is a *time* policy instead: :meth:`due`
+    answers whether ``interval`` seconds have elapsed on ``clock`` —
+    wall clock, the simulator's injected clock, or a test's manual
+    counter — since the last poll it approved.
+    :class:`ReplicatedFrontend` (``catch_up_interval=``) consults it on
+    its submit/flush drive paths.
+    """
+
+    def __init__(self, interval: float, clock: Callable[[], float]) -> None:
+        if interval <= 0:
+            raise ValueError("catch-up interval must be > 0")
+        self.interval = interval
+        self._clock = clock
+        self._last = clock()
+
+    def due(self) -> bool:
+        now = self._clock()
+        if now - self._last >= self.interval:
+            self._last = now
+            return True
+        return False
+
+
+class FrontendHost:
+    """One candidate machine that can serve the group-commit tier.
+
+    The host joins the election at construction.  When elected it
+    recovers a commit engine — warm: drain its standby's remaining WAL
+    delta and seal; cold: one full ``recover_from`` replay — and builds
+    an :class:`OracleFrontend` over it with this deployment's
+    batching/admission configuration (``frontend_config``), registering
+    ``on_flush`` (the owning :class:`ReplicatedFrontend`'s decision-error
+    listener) on it.
+
+    With ``warm=True`` the host keeps a standby engine that tails the
+    shared WAL (call :meth:`catch_up` periodically).
+    ``recovered_records`` reports the records applied *during takeover*
+    (the whole log when cold, the remaining delta when warm),
+    ``standby_records`` those applied while standing by, and
+    ``takeover_seconds`` the wall-clock the promotion cost — the
+    failover metrics benchmark E22 tracks.
     """
 
     def __init__(
@@ -137,28 +184,116 @@ class FrontendHost(OracleHost):
         warm: bool = True,
         engine: str = "oracle",
         frontend_config: Optional[Dict[str, Any]] = None,
-        on_promoted: Optional[Callable[["FrontendHost"], None]] = None,
+        on_flush: Optional[Callable[[FlushedBatch], None]] = None,
     ) -> None:
-        # Set before super().__init__: the first host constructed wins
-        # the election *inside* the super call, which runs _on_active.
-        self.frontend: Optional[OracleFrontend] = None
+        self.host_id = host_id
+        self.level = level
+        self.engine = engine
+        self._wal = wal
         self._frontend_config = dict(frontend_config or {})
-        self._on_promoted = on_promoted
-        super().__init__(
-            host_id, zookeeper, wal, level=level, warm=warm, engine=engine
+        self._on_flush = on_flush
+        self.frontend: Optional[OracleFrontend] = None
+        self.oracle: Optional[CommitEngine] = None
+        self.recovered_records = 0
+        #: Records applied while standing by (warm mode), i.e. *before*
+        #: the takeover they made cheap.
+        self.standby_records = 0
+        self.takeover_seconds = 0.0
+        self._standby: Optional[CommitEngine] = None
+        self._tail: Optional[WALTail] = None
+        self._standby_max_ts = 0
+        if warm:
+            self._standby = self._make_engine()
+            self._tail = WALTail(wal)
+        self.session: Session = zookeeper.connect()
+        # Last: the first host constructed wins the election inside this
+        # call and promotes at once, so everything above must be set.
+        self.election = LeaderElection(
+            self.session,
+            election_path="/status-oracle",
+            on_elected=self._become_active,
         )
 
-    def _on_active(self) -> None:
+    def _make_engine(self) -> CommitEngine:
+        # The engine-factory hook: every layer above speaks the
+        # CommitEngine contract, so the HA tier is protocol-agnostic —
+        # any engine with WAL recovery hooks can be replicated.
+        return make_engine(self.engine, level=self.level, wal=self._wal)
+
+    # ------------------------------------------------------------------
+    # warm standby
+    # ------------------------------------------------------------------
+    def catch_up(self) -> int:
+        """Apply records that became durable since the last poll.
+
+        No-op (returns 0) for cold hosts, for the active leader — its
+        engine *produces* the records; only standbys consume them — and
+        for a crashed host.  Call this on whatever cadence the
+        deployment can afford; whatever is not yet polled when the
+        leader dies is the takeover delta.
+        """
+        standby = self._standby
+        if standby is None:
+            return 0
+        applied = 0
+        for record in self._tail.poll():
+            self._standby_max_ts = max(
+                self._standby_max_ts, standby.apply_wal_record(record)
+            )
+            applied += 1
+        self.standby_records += applied
+        return applied
+
+    @property
+    def standby_lag(self) -> int:
+        """Durable WAL entries the standby has not yet applied."""
+        return self._tail.lag if self._tail is not None else 0
+
+    # ------------------------------------------------------------------
+    # promotion
+    # ------------------------------------------------------------------
+    def _become_active(self) -> None:
+        """Leader callback: recover the engine and start serving.
+
+        Cold: one full WAL replay — ``recover_from`` both applies and
+        counts the records in a single pass.  Warm: drain the tail's
+        remaining delta into the standby engine, then seal its
+        timestamp floor.  Then the frontend is built over the recovered
+        engine through the module-global ``OracleFrontend`` name — the
+        one place a tracer can patch to reach every leader's frontend.
+        """
+        started = time.perf_counter()
+        oracle = self._standby
+        if oracle is not None:
+            self.recovered_records = self.catch_up()
+            # The takeover delta is recovery work, not standby work:
+            # keep the two tallies disjoint (standby_records is what the
+            # warm tail saved; recovered_records what promotion cost).
+            self.standby_records -= self.recovered_records
+            self._standby = self._tail = None
+            oracle.seal_recovery(self._standby_max_ts)
+        else:
+            oracle = self._make_engine()
+            self.recovered_records = oracle.recover_from(self._wal)
+        self.takeover_seconds = time.perf_counter() - started
+        self.oracle = oracle
         self.frontend = OracleFrontend(
-            self.oracle, wal=self._wal, **self._frontend_config
+            oracle, wal=self._wal, **self._frontend_config
         )
-        if self._on_promoted is not None:
-            self._on_promoted(self)
+        if self._on_flush is not None:
+            self.frontend.on_flush(self._on_flush)
+
+    @property
+    def is_active(self) -> bool:
+        return self.election.is_leader and self.oracle is not None
 
     def crash(self) -> None:
-        if self.frontend is not None:
-            self.frontend = None
-        super().crash()
+        """The host dies: its memory — frontend, engine, standby and
+        WAL tail — is gone, and its session expires (the ephemeral
+        election node vanishes, so the next candidate promotes)."""
+        self.frontend = self.oracle = None
+        self._standby = self._tail = None
+        self.session.close()
 
 
 class ReplicatedFrontend:
@@ -199,7 +334,7 @@ class ReplicatedFrontend:
             ``clock`` — once the interval elapses, the next submit or
             :meth:`flush` syncs the WAL and polls every standby tail
             (the PR-6 commit-count modulus, replaced by a time policy;
-            see :class:`~repro.coord.failover.CatchUpCadence`).
+            see :class:`CatchUpCadence`).
         clock: time source for the cadence (wall clock by default;
             pass the simulator's clock in a simulation).
         retry_policy: pacing/bounds for post-failover resubmission; a
@@ -234,10 +369,8 @@ class ReplicatedFrontend:
         self.wal = BookKeeperWAL()
         self._cadence: Optional[CatchUpCadence] = None
         if catch_up_interval is not None:
-            import time as _time
-
             self._cadence = CatchUpCadence(
-                catch_up_interval, clock or _time.monotonic
+                catch_up_interval, clock or time.monotonic
             )
         self._retry_policy = retry_policy or RetryPolicy()
         self._sleep = sleep
@@ -272,7 +405,10 @@ class ReplicatedFrontend:
                 warm=warm,
                 engine=engine,
                 frontend_config=frontend_config,
-                on_promoted=self._on_promoted,
+                # Decision errors are permanent (retrying re-raises the
+                # same error), so they settle at flush, not at
+                # durability — they never reach the WAL.
+                on_flush=self._on_flush_errors,
             )
             for i in range(num_hosts)
         ]
@@ -280,12 +416,6 @@ class ReplicatedFrontend:
     # ------------------------------------------------------------------
     # leader plumbing
     # ------------------------------------------------------------------
-    def _on_promoted(self, host: FrontendHost) -> None:
-        # Decision errors are permanent (retrying re-raises the same
-        # error), so they settle at flush, not at durability — they
-        # never reach the WAL.
-        host.frontend.on_flush(self._on_flush_errors)
-
     def active_host(self) -> FrontendHost:
         for host in self.hosts:
             if host.is_active:

@@ -5,15 +5,16 @@ the poll rate to throughput (an idle deployment never polls, so the
 takeover delta grows unbounded in *time*).  The cadence is a time
 policy over an injected clock — wall clock in a deployment, the
 simulator's clock in a simulation, a manual counter here — consulted by
-:class:`~repro.coord.OracleReplicaSet` (its ``commit`` path) and
-:class:`~repro.server.ha.ReplicatedFrontend` (its ``flush`` path).
+:class:`~repro.server.ha.ReplicatedFrontend` on its submit and
+``flush`` paths (a :class:`~repro.server.ha.ReplicatedOracleFacade`
+commit takes both).
 """
 
 import pytest
 
-from repro.coord import CatchUpCadence, OracleReplicaSet
 from repro.core.status_oracle import CommitRequest
-from repro.server import ReplicatedFrontend
+from repro.server import ReplicatedFrontend, ReplicatedOracleFacade
+from repro.server.ha import CatchUpCadence
 
 
 def req(start, writes=(), reads=()):
@@ -69,62 +70,53 @@ class TestCadencePolicy:
         assert not cadence.due()
 
 
-class TestReplicaSetCadence:
-    def _loaded(self, clock, interval=5.0, commits=20):
-        rs = OracleReplicaSet(
+class TestReplicatedFrontendCadence:
+    def _loaded(self, clock, interval=5.0, commits=20, tick=1.0):
+        rf = ReplicatedFrontend(
             num_hosts=2,
             level="wsi",
             warm=True,
             catch_up_interval=interval,
             clock=clock,
         )
+        oracle = ReplicatedOracleFacade(rf)
         for i in range(commits):
-            clock.tick()
-            ts = rs.begin()
-            rs.commit(req(ts, writes={f"row{i}"}))
-        return rs
+            clock.tick(tick)
+            oracle.commit(req(oracle.begin(), writes={f"row{i}"}))
+        return rf
 
-    def test_commit_path_drives_standby_polls(self):
+    def test_facade_commits_drive_standby_polls(self):
         clock = ManualClock()
-        rs = self._loaded(clock)
+        rf = self._loaded(clock)
         # 20 ticks / interval 5: the cadence came due 4 times on the
         # commit path — the standby tailed without any explicit
         # standby_catch_up() call from the driver.
-        standby = next(h for h in rs.hosts if not h.is_active)
+        standby = next(h for h in rf.hosts if not h.is_active)
         assert standby.standby_records > 0
 
     def test_takeover_delta_bounded_by_cadence(self):
         clock = ManualClock()
-        rs = self._loaded(clock, interval=5.0, commits=40)
-        rs.wal.flush()
-        rs.kill_active()
+        rf = self._loaded(clock, interval=5.0, commits=40)
+        rf.kill_active()
         # The promoted standby replays at most the records of one
         # cadence interval (plus the final unflushed tail).
-        assert rs.active_host().recovered_records <= 5 + 1
+        assert rf.active_host().recovered_records <= 5 + 1
 
     def test_idle_clock_means_no_polls(self):
         clock = ManualClock()
-        rs = OracleReplicaSet(
-            num_hosts=2, warm=True, catch_up_interval=5.0, clock=clock
-        )
-        for i in range(20):  # clock never ticks
-            ts = rs.begin()
-            rs.commit(req(ts, writes={f"row{i}"}))
-        standby = next(h for h in rs.hosts if not h.is_active)
+        rf = self._loaded(clock, tick=0.0)  # clock never moves
+        standby = next(h for h in rf.hosts if not h.is_active)
         assert standby.standby_records == 0
 
     def test_no_cadence_means_manual_polls_only(self):
-        rs = OracleReplicaSet(num_hosts=2, warm=True)
+        rf = ReplicatedFrontend(num_hosts=2, warm=True)
+        oracle = ReplicatedOracleFacade(rf)
         for i in range(10):
-            ts = rs.begin()
-            rs.commit(req(ts, writes={f"row{i}"}))
-        standby = next(h for h in rs.hosts if not h.is_active)
+            oracle.commit(req(oracle.begin(), writes={f"row{i}"}))
+        standby = next(h for h in rf.hosts if not h.is_active)
         assert standby.standby_records == 0
-        rs.wal.flush()
-        assert rs.standby_catch_up() > 0
+        assert rf.standby_catch_up() > 0
 
-
-class TestReplicatedFrontendCadence:
     def test_flush_path_drives_standby_polls(self):
         clock = ManualClock()
         rf = ReplicatedFrontend(

@@ -21,6 +21,7 @@ from repro.core.errors import ConflictAbort, DecisionPending, OracleClosed, Over
 from repro.core.isolation import create_system
 from repro.core.status_oracle import CommitRequest
 from repro.server import ReplicatedFrontend, RetryPolicy
+from repro.server import ha as ha_module
 
 
 def req(start, writes=(), reads=()):
@@ -275,6 +276,17 @@ class TestWarmStandby:
         assert oracles[True].begin() > max(rows[True].values())
         assert oracles[False].begin() > max(rows[False].values())
 
+    def test_crashed_standby_stops_tailing(self):
+        # A dead host's memory is gone: its standby engine and WAL tail
+        # die with it, so the drive loop's polls count only live work.
+        rf = ReplicatedFrontend(num_hosts=3, warm=True, max_batch=4)
+        live, dead = rf.hosts[1], rf.hosts[2]
+        dead.crash()
+        self._load(rf, 40, "r")
+        assert rf.standby_catch_up() == live.standby_records > 0
+        assert dead.catch_up() == 0
+        assert dead.standby_records == 0 and dead.standby_lag == 0
+
 
 class TestRetryPolicy:
     def test_retry_budget_exhausted_fails_the_future(self):
@@ -382,6 +394,35 @@ class TestCommitStatusAcrossFailover:
         assert old_table.commit_timestamp(txn.start_ts) is None  # dead host
         assert manager.begin().read("row") == "new leader"
         assert manager.reader.read("row", txn.commit_ts + 1).timestamp == txn.start_ts
+
+
+class TestFrontendPatchPoint:
+    """Every promoted leader builds its frontend through the module-global
+    name ``repro.server.ha.OracleFrontend``: the end-to-end tracer
+    patches exactly that name to reach every leader's frontend, so a
+    host that stopped looking it up there would silently drop the
+    traced ``frontend.*`` rows."""
+
+    def test_every_leader_frontend_comes_from_the_patched_name(self, monkeypatch):
+        built = []
+        real = ha_module.OracleFrontend
+
+        def factory(backend, **config):
+            frontend = real(backend, **config)
+            built.append(frontend)
+            return frontend
+
+        monkeypatch.setattr(ha_module, "OracleFrontend", factory)
+        rf = ReplicatedFrontend(num_hosts=3, max_batch=4)
+        leaders = []
+        for kills in range(3):
+            if kills:
+                rf.kill_active()
+            host = rf.active_host()
+            assert host.host_id == kills
+            assert host.frontend.backend is host.oracle
+            leaders.append(host.frontend)
+        assert leaders == built
 
 
 class TestEngineParameter:
