@@ -54,7 +54,8 @@ bench-smoke:
 ## so any decision or stat that silently depended on builtin str/bytes
 ## hashing fails one of the two runs.
 ## The begin/recover no-reuse pins and the HA failover pins (warm
-## takeover, crash-mid-batch retry, no timestamp reuse across leaders)
+## takeover, crash-mid-batch retry, no timestamp reuse across leaders,
+## standbys tailing every sync)
 ## ride in every salted run; the explicit last pair keeps them covered
 ## even if the fast-suite marker set ever changes, together with the
 ## WAL-replay pins (cold recovery, and the apply kernel against the
@@ -83,10 +84,12 @@ check:
 	PYTHONHASHSEED=0 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
 		tests/server/test_failover.py tests/server/test_ha.py \
+		tests/server/test_standby_tailing.py \
 		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 	PYTHONHASHSEED=31337 $(PYTEST) -q \
 		tests/core/test_timestamps.py tests/server/test_frontend_recovery.py \
 		tests/server/test_failover.py tests/server/test_ha.py \
+		tests/server/test_standby_tailing.py \
 		tests/integration/test_recovery.py tests/property/test_wal_apply_kernel.py
 
 ## cProfile the batch-decide frontend microbench and print the top-20

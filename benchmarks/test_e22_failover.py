@@ -8,8 +8,9 @@ a deployment of that claim actually lives on:
 * **Failover leg** — a warm standby that tails the shared WAL takes
   over in O(delta): at >= 10k durable WAL records the warm takeover is
   >= 5x faster wall-clock than a cold full-log replay (typically one to
-  two orders of magnitude — the delta is whatever accrued since the
-  last tail poll, independent of history length).  Timestamps are never
+  two orders of magnitude — the delta is whatever became durable since
+  the last tail poll, and the tier polls after every sync, so it is
+  independent of history length).  Timestamps are never
   reused across the failover.
 * **Overload leg** — with ``max_queue_depth`` admission control and
   client retry/backoff, offering 2x the measured closed-loop capacity
@@ -34,8 +35,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Failover leg: durable WAL records before the leader dies.
 WAL_RECORDS = 2_000 if SMOKE else 12_000
-#: warm-standby cadence interval in clock ticks (the loader ticks its
-#: manual clock once per commit, so the takeover delta is at most this).
+#: Bound on the warm takeover delta, in records.  The replica set tails
+#: every WAL sync itself, so the delta is what the last sync left
+#: un-polled: nothing, after a synchronous commit.
 POLL_EVERY = 500
 WARM_BAR = 2.0 if SMOKE else 5.0
 
@@ -52,29 +54,15 @@ def _load_replica_set(warm):
     The writes go through the synchronous
     :class:`~repro.server.ha.ReplicatedOracleFacade`, one durable
     group-commit record per decision.  Warm standbys tail the shared
-    WAL on the replica set's own clock-driven
-    :class:`~repro.server.ha.CatchUpCadence` (a manual clock the loader
-    ticks once per commit, POLL_EVERY ticks per interval): when the
-    cadence comes due, the commit path itself flushes the ledger and
-    polls the standby tails, so the takeover delta stays bounded by the
-    cadence — not by a hand-rolled commit-count modulus in the driver.
-    Returns the facade; ``.replicated`` is the replica set."""
-    clock = [0.0]
-    rs = ReplicatedFrontend(
-        num_hosts=2,
-        level="wsi",
-        warm=warm,
-        catch_up_interval=POLL_EVERY if warm else None,
-        clock=lambda: clock[0],
-    )
+    WAL after every sync the replica set makes — here, inside each
+    commit call once its record is durable — so the loader schedules no
+    polls of its own.  Returns the facade; ``.replicated`` is the
+    replica set."""
+    rs = ReplicatedFrontend(num_hosts=2, level="wsi", warm=warm)
     oracle = ReplicatedOracleFacade(rs)
     for i in range(WAL_RECORDS):
-        clock[0] += 1.0
         ts = oracle.begin()
         oracle.commit(CommitRequest(ts, write_set=frozenset({f"row{i}"})))
-    rs.wal.flush()
-    if warm:
-        rs.standby_catch_up()
     return oracle
 
 
@@ -123,7 +111,7 @@ def test_e22_warm_failover_speedup(print_header):
             rows,
             title=(
                 f"{WAL_RECORDS} durable group-commit-era records, "
-                f"standby polls every {POLL_EVERY}"
+                "standby tails every sync"
             ),
         )
     )

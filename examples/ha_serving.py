@@ -3,12 +3,14 @@
 
 Appendix A's failure story, end to end at the layer clients actually
 talk to: three frontend candidates share one replicated WAL; the
-leader batches commit requests (group commit); warm standbys tail the
-WAL.  Mid-batch, the leader dies — and every in-flight request still
-resolves: durable decisions settle from the WAL, never-durable ones
-are transparently retried against the promoted standby with their
-original timestamps (bounded exponential backoff, no reuse, no
-double-decide).  Admission control keeps the queue bounded throughout.
+leader batches commit requests (group commit: a batch settles once its
+WAL record is synced); warm standbys tail the WAL after every sync.
+Mid-batch, the leader dies — and every in-flight request still
+resolves: flushed batches were durable already, and the open batch is
+transparently moved to the promoted standby, each request with its
+original timestamp and its original future (bounded exponential
+backoff, no reuse, no double-decide).  Admission control keeps the
+queue bounded throughout.
 
 Run:  PYTHONPATH=src python examples/ha_serving.py
 """
@@ -40,13 +42,13 @@ def main() -> None:
         )
     print(f"  submitted 8 requests; none settled yet (group commit):"
           f" {sum(f.done for f in futures)} done")
-    rf.flush()  # batch out + WAL synced -> durability settles futures
+    rf.flush()  # batch decided + WAL synced -> futures settle
     print(f"  after flush: {sum(f.done for f in futures)}/8 settled, "
           f"all {'committed' if all(f.committed for f in futures) else '?'}")
 
-    # --- keep the standbys warm --------------------------------------
-    applied = rf.standby_catch_up()
-    print(f"  standbys tailed the WAL: {applied} records pre-applied")
+    # --- the standbys stay warm on their own --------------------------
+    lags = [host.standby_lag for host in rf.hosts if not host.is_active]
+    print(f"  standbys tailed that sync: lag {lags} ledger entries")
 
     # --- the leader dies mid-batch -----------------------------------
     print("\n=== leader crash mid-batch ===")
@@ -66,9 +68,9 @@ def main() -> None:
           f"({new_leader.standby_records} were pre-applied while standing by)")
     print(f"  {rf.retried_requests} in-flight requests resubmitted "
           f"with their original timestamps")
+    retries = [rf.retries[f.start_ts] for f in inflight]
     rf.flush()
     outcomes = [f.outcome() for f in inflight]
-    retries = [f.retries for f in inflight]
     print(f"  all settled after failover: {outcomes}")
     print(f"  per-request retry counts:   {retries}")
 

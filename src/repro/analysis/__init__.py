@@ -46,8 +46,8 @@ pinned; the linter turns the pin into a standing rule:
     Single-writer paths carry reviewed skips.
 
 ``future-discipline``
-    ``CommitFuture``/``HAFuture`` settle only through the blessed
-    resolve paths — no direct ``._result``/``._done`` stores.  Descends
+    A ``CommitFuture`` settles only through the blessed resolve
+    paths — no direct ``._result``/``._done`` stores.  Descends
     from PR 6 (a crashed flush left futures in permanent
     ``DecisionPending``).
 

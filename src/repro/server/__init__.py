@@ -28,9 +28,9 @@ the amortization as a thin frontend layered over any oracle:
 
 :class:`ClientSession`
     the async client surface: ``commit()``/``abort()`` return a
-    :class:`CommitFuture` that resolves when the batch flushes (group
-    commit — no request is acknowledged before its decision is queued
-    for durability).
+    :class:`CommitFuture` that resolves when the batch flushes, and a
+    flush ends with the batch's WAL record synced (group commit — no
+    request is acknowledged before its decision is durable).
 
 Design rules
 ============
@@ -142,11 +142,12 @@ the p99.  Two rules keep it off the commit path now, pinned by
   untracks the first time it meets them; the request and its frozensets
   die with the batch.  ``FlushedBatch.committed_payload`` is the
   record's own payload object.
-* **Five tracked objects per in-flight request** (six on the HA path):
+* **Five tracked objects per in-flight request**, on the HA path too:
   the two footprint frozensets, the ``CommitRequest`` (slotted, no
   ``__dict__``), the slotted ``CommitFuture`` and the ``(request,
-  future)`` batch item — plus the ``HAFuture``, which doubles as the
-  failover retry-set entry.  ``ClientSession.commit()`` reaches the
+  future)`` batch item, which is also the failover retry-set entry —
+  the replicated tier hands out the leader frontend's own future.
+  ``ClientSession.commit()`` reaches the
   pending batch in one frontend call: no closure, no helper frames, and
   the session's tally rides the future's owner slot instead of a
   per-request callback list.
@@ -213,27 +214,32 @@ frontend over it; synchronous callers that want decisions inline go
 through :class:`ReplicatedOracleFacade`.  Three design decisions carry
 it:
 
-* **Settlement moves from flush to durability.**  A single frontend may
-  equate "decided" with "acknowledged" — nothing else can take over —
-  but a replicated tier must not acknowledge a decision the next leader
-  might not recover.  :class:`~repro.server.ha.HAFuture` therefore
-  resolves from the WAL-sync listener (the decision is on a ledger
-  quorum), at the cost of one WAL sync of latency.  Decision *errors*
-  still settle at flush — they are permanent and never reach the WAL.
+* **One settlement point: the flush, which ends at durability.**  No
+  tier may acknowledge a decision the next leader (or the restarted
+  host) might not recover, so :meth:`OracleFrontend.flush` syncs the
+  batch's group-commit record before it resolves a single future — a
+  full 32-decision batch fills the WAL's 1 KB entry and syncs inside
+  the append anyway; a partial one syncs at its own flush instead of
+  waiting out the WAL's 5 ms.  The replicated tier hands out the
+  leader frontend's own futures and adds no settlement of its own; it
+  only acknowledges a batch's commits before its aborts, in the order
+  the group-commit record lists them.
+  Decision *errors* settle at the same flush — they are permanent.
 * **Warm standbys make takeover O(delta).**  Every standby host tails
-  the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`), applying
-  records as they become durable; at promotion only the un-polled
-  suffix is replayed, then
+  the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`) after each
+  sync, once the synced batch's futures have settled, so no request's
+  latency holds standby work; at promotion only the un-polled suffix
+  is replayed, then
   :meth:`~repro.core.status_oracle.StatusOracle.seal_recovery` re-seeds
   the timestamp oracle above everything durable.  Benchmark E22
   measures warm vs cold takeover (>= 5x at >= 10k records; in practice
   the gap grows with history length, since the delta does not).
-* **In-flight requests survive, exactly once.**  A request whose
-  decision never became durable — in the crashed leader's open batch,
-  or flushed but un-synced — is resubmitted against the new leader with
-  its **original start timestamp** under a bounded-exponential
-  :class:`RetryPolicy`; a request whose decision *did* sync settled
-  already and left the retry set, so nothing is ever decided twice.
+* **In-flight requests survive, exactly once.**  Flushed means durable,
+  so the crashed leader's open batch is every request that can be lost;
+  it is detached unsettled and re-enqueued into the new leader — same
+  futures, **original start timestamps** — under a bounded-exponential
+  :class:`RetryPolicy`.  A request whose batch flushed settled already
+  and left the open batch, so nothing is ever decided twice.
   Crashing a leader mid-lease also gaps (never reuses) the begin-lease
   block, same as a plain frontend crash.  The hypothesis failover
   property pins history equivalence: when begins precede decisions, a
@@ -241,7 +247,8 @@ it:
   uncrashed one.
 
 Admission control rides the same tier: ``max_queue_depth`` bounds the
-decisions in flight (pending + flushed-but-not-yet-durable); beyond it,
+decisions in flight (the open batch, as a flush ends at durability);
+beyond it,
 submissions fail fast with :class:`~repro.core.errors.Overloaded` and
 :class:`ClientSession`'s retry policy backs off-and-resubmits.  E22's
 overload leg shows 2x-capacity offered load sustaining the 1x
@@ -278,12 +285,10 @@ from repro.server.frontend import (
     CommitFuture,
     FlushedBatch,
     FrontendStats,
-    FutureArena,
     OracleFrontend,
 )
 from repro.server.ha import (
     FrontendHost,
-    HAFuture,
     ReplicatedFrontend,
     ReplicatedOracleFacade,
 )
@@ -296,11 +301,9 @@ __all__ = [
     "CommitFuture",
     "FlushedBatch",
     "FrontendStats",
-    "FutureArena",
     "ReplicatedFrontend",
     "ReplicatedOracleFacade",
     "FrontendHost",
-    "HAFuture",
     "RetryPolicy",
     "call_with_retry",
     "CLIENT_ABORT",

@@ -22,8 +22,13 @@ amortization:
   ``tests/server`` proves this for SI, WSI, the bounded and the
   partitioned oracle);
 * the batch's decisions are persisted as a **single**
-  :data:`~repro.wal.bookkeeper.GROUP_COMMIT_RECORD` WAL record, and the
-  per-request futures resolve only at flush time — group commit.
+  :data:`~repro.wal.bookkeeper.GROUP_COMMIT_RECORD` WAL record, and a
+  flush ends with that record synced to a ledger quorum: only then do
+  the batch's futures resolve — group commit.  No request is
+  acknowledged before its decision would survive a crash, so "done"
+  means the same on one host as on the replicated tier
+  (:mod:`repro.server.ha`), whose next leader recovers exactly what was
+  acknowledged.
 
 The frontend never changes *what* is decided, only *when* the decision
 is computed and persisted — the same thin-frontend property MetaSys-style
@@ -58,7 +63,7 @@ class FlushedBatch:
     """One frontend batch: created when the batch opens, filled at flush.
 
     ``on_flush`` listeners receive it after the group-commit WAL record
-    is queued but *before* ``flushed`` flips true (i.e. before any future
+    is durable but *before* ``flushed`` flips true (i.e. before any future
     reports done), so a simulator can attach a durability event first.
     The decision payloads are the group-commit record's normal form
     (:func:`~repro.wal.bookkeeper.group_commit_payload`: tuples all the
@@ -113,10 +118,13 @@ class FlushedBatch:
 class CommitFuture:
     """The pending outcome of a batched commit (or abort) request.
 
-    Resolved when the batch containing the request flushes.  Reading the
-    outcome before resolution raises :class:`DecisionPending`; register a
+    Resolved when the batch containing the request flushes — with a WAL,
+    once the batch's group-commit record is synced.  Reading the outcome
+    before resolution raises :class:`DecisionPending`; register a
     callback via :meth:`add_done_callback` to be notified at flush (the
-    discrete-event simulator bridges this to an engine event).
+    discrete-event simulator bridges this to an engine event).  A
+    replicated tier that loses its leader moves the pending future, as
+    it is, into the next leader's batch (:meth:`OracleFrontend.requeue`).
     """
 
     # Slotted, every field initialised in __init__: a future is exactly
@@ -242,12 +250,18 @@ class CommitFuture:
         nothing between ``commit()`` and the pending batch.
         """
         batch = self.batch
-        if self._done or (batch is not None and batch.flushed):
+        if self._done or batch.flushed:
             owner._tally(self)
             return
         self._owner = owner
-        if batch is not None:  # an HAFuture outlives any one batch
-            batch.has_callbacks = True
+        batch.has_callbacks = True
+
+    def _fail(self, exc: BaseException) -> None:
+        """Settle with ``exc`` outside any batch: a request the
+        replicated tier gave up on after a leader crash."""
+        self._error = exc
+        self._done = True  # lint: skip=future-discipline -- blessed settle
+        self._fire_callbacks()
 
     def _fire_callbacks(self) -> None:
         owner = self._owner
@@ -259,68 +273,6 @@ class CommitFuture:
             self._cbs = None
             for fn in cbs:
                 fn(self)
-
-
-class FutureArena:
-    """Freelist of :class:`CommitFuture` objects for high-rate ingest.
-
-    The throughput-bound ingest paths (bulk load, log apply, benchmark
-    E17's nowait drivers) either forgo futures entirely
-    (``submit_commit_nowait``) or, when the client does want a handle
-    per request, allocate one ``CommitFuture`` per submission — at
-    batch-128 flush rates that is pure allocator churn, since every
-    future dies as soon as its outcome is read.  The arena recycles
-    them: :meth:`~OracleFrontend.submit_commit_pooled` draws from the
-    freelist and the client hands the future back with
-    :meth:`~OracleFrontend.recycle_future` once it has read the
-    outcome.
-
-    Reset is re-running ``__init__`` on the recycled object: it
-    restores every per-decision field (and drops the ``batch``
-    back-reference, so a pooled future never pins a resolved batch).
-    Recycling a pending future is refused: its batch still owns it.
-    """
-
-    __slots__ = ("_free", "allocated", "reused", "recycled")
-
-    def __init__(self) -> None:
-        self._free: List[CommitFuture] = []
-        #: futures constructed because the freelist was empty.
-        self.allocated = 0
-        #: acquisitions served from the freelist.
-        self.reused = 0
-        #: futures handed back (``recycled - reused`` = freelist depth).
-        self.recycled = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, start_ts: int) -> CommitFuture:
-        """A fresh-looking future for ``start_ts`` (recycled if possible)."""
-        free = self._free
-        if free:
-            future = free.pop()
-            future.__init__(start_ts)
-            self.reused += 1
-        else:
-            future = CommitFuture(start_ts)
-            self.allocated += 1
-        return future
-
-    def release(self, future: CommitFuture) -> None:
-        """Return a *settled* future to the freelist.
-
-        The caller asserts it holds the only live reference; reading a
-        recycled future afterwards observes a later request's outcome
-        (the usual arena contract).
-        """
-        if not future.done:
-            raise ValueError(
-                f"txn {future.start_ts}: cannot recycle a pending future "
-                "(its batch still owns it)"
-            )
-        self.recycled += 1
-        self._free.append(future)
 
 
 @dataclass
@@ -348,9 +300,9 @@ class FrontendStats:
     #: future of such a batch resolves with the error (never a permanent
     #: ``DecisionPending``), and nothing was persisted.
     flush_failures: int = 0
-    #: Requests failed by :meth:`OracleFrontend.fail_pending` — a host
-    #: crash taking the open batch with it (the HA tier retries them
-    #: against the next leader).
+    #: Requests a host crash took from the open batch: failed by
+    #: :meth:`OracleFrontend.fail_pending`, or handed to the next leader
+    #: by :meth:`OracleFrontend.detach_pending` (the HA tier).
     crashed_requests: int = 0
     #: Submissions shed by admission control (typed ``Overloaded``).
     overload_rejections: int = 0
@@ -413,8 +365,9 @@ class OracleFrontend:
             persists nothing itself (the partitioned oracle; see the
             reservation-adoption block in ``__init__``).
         max_queue_depth: admission-control bound on decisions in flight
-            (pending in the open batch plus flushed batches whose
-            durability is still outstanding, see :meth:`mark_durable`).
+            (pending in the open batch; plus, when a flush listener
+            defers durability to simulated time, flushed batches not yet
+            marked durable, see :meth:`mark_durable`).
             A submit that would exceed the bound is shed with a typed
             :class:`~repro.core.errors.Overloaded` rejection instead of
             queueing without bound — under sustained over-capacity
@@ -505,10 +458,10 @@ class OracleFrontend:
         # must learn when a fast-path request ends, or the bypassed
         # start pins their active set forever.
         self._release_start = getattr(backend, "release_start", None)
-        # Batch items: a raw CommitRequest (nowait commit), a raw int
-        # (nowait client abort), or a (CommitRequest | int, CommitFuture)
-        # pair for future-style submissions.  The open-batch *swap*
-        # (flush / fail_pending taking the batch) is the handoff point
+        # Batch items: a raw CommitRequest (nowait commit), or a
+        # (CommitRequest | start_ts, CommitFuture) pair for future-style
+        # submissions.  The open-batch *swap* (flush / fail_pending /
+        # detach_pending taking the batch) is the handoff point
         # shared with whatever drives the drain, so it happens under
         # _flush_lock; appends are single-writer on the submit side.
         self._flush_lock = make_lock("frontend-flush")
@@ -526,20 +479,17 @@ class OracleFrontend:
         self._inflight = 0
         self._batch_seq = 0
         self._flush_listeners: List[Callable[[FlushedBatch], None]] = []
-        #: CommitFuture freelist behind submit_commit_pooled /
-        #: recycle_future (see :class:`FutureArena`).
-        self.future_arena = FutureArena()
         self.stats = FrontendStats()
         self._closed = False
 
     # ------------------------------------------------------------------
     # client surface
     #
-    # The four submit_* methods deliberately inline the same short
-    # enqueue/trigger sequence instead of sharing a helper: submit is on
-    # the measured hot path (benchmark E17's >=3x bar), and one extra
-    # Python call per request costs more than the duplication saves.
-    # An edit to one of them applies to all four.
+    # The three submit_* methods and requeue deliberately inline the
+    # same short enqueue/trigger sequence instead of sharing a helper:
+    # submit is on the measured hot path (benchmark E17's >=3x bar), and
+    # one extra Python call per request costs more than the duplication
+    # saves.  An edit to one of them applies to all four.
     # ------------------------------------------------------------------
     @property
     def backend(self) -> Any:
@@ -655,49 +605,6 @@ class OracleFrontend:
             self.flush(trigger="count")
         return future
 
-    def submit_commit_pooled(self, request: CommitRequest) -> CommitFuture:
-        """:meth:`submit_commit` drawing the future from the arena.
-
-        The ingest-path variant for clients that want a handle per
-        request without per-request allocation: the returned future
-        comes from :attr:`future_arena` when possible, and the caller
-        hands it back with :meth:`recycle_future` after reading the
-        outcome.  Semantics are otherwise identical to
-        :meth:`submit_commit` (read-only fast path included).
-        """
-        if self._closed:
-            raise OracleClosed("oracle frontend is closed")
-        if not request.write_set and (self._ro_exempt or not request.read_set):
-            backend_stats = self._backend.stats
-            backend_stats.commits += 1
-            backend_stats.read_only_commits += 1
-            self.stats.read_only_fast_path += 1
-            if self._release_start is not None:
-                self._release_start(request.start_ts)
-            future = self.future_arena.acquire(request.start_ts)
-            future._committed = True
-            # lint: skip=future-discipline -- blessed: read-only fast path
-            # settles inline, before the future ever escapes the submit.
-            future._done = True
-            return future
-        if self._max_queue_depth is not None:
-            self._admit()  # may shed: acquire the future only once admitted
-        future = self.future_arena.acquire(request.start_ts)
-        pending = self._pending
-        pending.append((request, future))  # lint: skip=guarded-by -- single-writer submit side
-        if len(pending) == 1:
-            self._open_batch()
-        cell = self._open_cell
-        future.batch = cell
-        cell.futures.append(future)
-        if len(pending) >= self._max_batch:
-            self.flush(trigger="count")
-        return future
-
-    def recycle_future(self, future: CommitFuture) -> None:
-        """Hand a settled future back to :attr:`future_arena`."""
-        self.future_arena.release(future)
-
     def submit_commit_nowait(self, request: CommitRequest) -> None:
         """Queue a commit request without a future (callback-style).
 
@@ -748,17 +655,33 @@ class OracleFrontend:
             self.flush(trigger="count")
         return future
 
-    def submit_abort_nowait(self, start_ts: int) -> None:
-        """Queue a client-initiated abort without a future."""
+    def requeue(self, item: Tuple[Any, CommitFuture]) -> None:
+        """Enqueue a ``(request, future)`` batch item that a crashed
+        frontend gave up unsettled (see :meth:`detach_pending`).
+
+        The failover path of :class:`~repro.server.ha.ReplicatedFrontend`:
+        the client keeps the very future it was handed — it now settles
+        with *this* frontend's batch — and the request keeps its original
+        start timestamp (a client abort's item carries just that), so a
+        retry allocates nothing and reuses no timestamp.  Admission
+        control applies exactly as to a fresh submit.
+        """
         if self._closed:
             raise OracleClosed("oracle frontend is closed")
         if self._max_queue_depth is not None:
             self._admit()
+        request, future = item
         pending = self._pending
-        pending.append(start_ts)  # lint: skip=guarded-by -- single-writer submit side
-        self.stats.client_aborts += 1
+        pending.append(item)  # lint: skip=guarded-by -- single-writer submit side
+        if isinstance(request, int):
+            self.stats.client_aborts += 1
         if len(pending) == 1:
             self._open_batch()
+        cell = self._open_cell
+        future.batch = cell
+        cell.futures.append(future)
+        if future._owner is not None or future._cbs:
+            cell.has_callbacks = True
         if len(pending) >= self._max_batch:
             self.flush(trigger="count")
 
@@ -842,35 +765,44 @@ class OracleFrontend:
 
     def on_flush(self, listener: Callable[[FlushedBatch], None]) -> None:
         """Register a listener called with each :class:`FlushedBatch`
-        after its WAL record is queued but *before* futures resolve."""
+        after its WAL record is durable but *before* futures resolve."""
         self._flush_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # the flush itself: one critical section per batch
     # ------------------------------------------------------------------
-    def flush(self, trigger: str = "force") -> Optional[FlushedBatch]:
-        """Process every pending request and resolve its future.
-
-        Everything in here happens atomically with respect to other
-        batches — this *is* the §6.3 critical section, entered once per
-        batch instead of once per request.
-        """
+    def _take_pending(self) -> Tuple[List[Any], Optional[FlushedBatch]]:
+        """Swap the open batch out (the drain handoff): its items and
+        cell, or ``([], None)`` when nothing is pending."""
         with self._flush_lock:
             if self._rc is not None:
                 self._rc.access("frontend.pending")
             batch = self._pending
             if not batch:
-                return None
+                return batch, None
             self._pending = []
             cell = self._open_cell
             self._open_cell = None
             self._batch_opened_at = None
         cell.requests = len(batch)
+        return batch, cell
+
+    def flush(self, trigger: str = "force") -> Optional[FlushedBatch]:
+        """Decide every pending request, make the decisions durable, and
+        only then resolve the futures.
+
+        Everything in here happens atomically with respect to other
+        batches — this *is* the §6.3 critical section, entered once per
+        batch instead of once per request.
+        """
+        batch, cell = self._take_pending()
+        if cell is None:
+            return None
 
         payload_commits: List[Tuple[int, int, Any]] = []
         payload_aborts: List[int] = []
         errors: List[Tuple[int, BaseException]] = []
-        # A crash anywhere between here and the WAL append must not
+        # A crash anywhere between here and the WAL sync must not
         # strand the batch's futures in permanent DecisionPending: the
         # unbatched oracle would have raised at the call site, so the
         # batched one resolves every future with the error instead (the
@@ -899,6 +831,13 @@ class OracleFrontend:
             if wal is not None and (payload_commits or payload_aborts):
                 payload = wal.append_decisions(payload_commits, payload_aborts)
                 wal_written = True
+                # Acknowledge only what a crash cannot take back.  A full
+                # batch (32 decisions = 1 KB) tripped the WAL's size
+                # trigger inside the append; a partial one (timer, force,
+                # close, small max_batch) syncs here instead of waiting
+                # out the WAL's 5 ms.
+                if wal.pending_count:
+                    wal.flush()
             else:
                 payload = group_commit_payload(payload_commits, payload_aborts)
         except Exception as exc:
@@ -929,13 +868,13 @@ class OracleFrontend:
         cell.errors = tuple(errors)
         for listener in self._flush_listeners:
             listener(cell)
-        # Admission slots release at flush unless a listener attached a
-        # durability event — then they stay held until mark_durable(),
-        # so "in flight" spans submit through durable.
+        # Admission slots release now unless a listener attached a
+        # (simulated) durability event — then they stay held until
+        # mark_durable(), so "in flight" spans submit through durable.
         if cell.durable_event is None:
             self._release(cell)
         # Group commit: this single flag resolves every future of the
-        # batch at once, after the WAL record is queued (and after the
+        # batch at once, after the WAL record is durable (and after the
         # listeners had a chance to attach durability hooks).
         cell.flushed = True
         if cell.has_callbacks:
@@ -951,11 +890,11 @@ class OracleFrontend:
         """Resolve a doomed batch: every unresolved future gets ``exc``.
 
         Used on the two crash paths — a flush that died mid-decision or
-        mid-WAL-append, and :meth:`fail_pending` (host crash).  Futures
+        mid-WAL-write, and :meth:`fail_pending` (host crash).  Futures
         that already carry a per-request decision error keep it; everyone
         else resolves with the batch-level error, so no future is ever a
-        permanent ``DecisionPending``.  Nothing from the batch was made
-        durable, and its admission slots are given back.
+        permanent ``DecisionPending``.  Nothing from the batch was
+        acknowledged, and its admission slots are given back.
         """
         cell.trigger = "failed"
         for fut in cell.futures:
@@ -974,24 +913,31 @@ class OracleFrontend:
         A host crash takes the open batch with it — those requests were
         never decided, never persisted, and would otherwise wait forever
         on a flush that can no longer happen.  Their futures resolve
-        with ``exc`` (the HA tier then retries them against the next
-        leader with their original start timestamps).  Returns how many
-        requests were failed.
+        with ``exc``.  Returns how many requests were failed.
         """
-        with self._flush_lock:
-            if self._rc is not None:
-                self._rc.access("frontend.pending")
-            batch = self._pending
-            if not batch:
-                return 0
-            self._pending = []
-            cell = self._open_cell
-            self._open_cell = None
-            self._batch_opened_at = None
-        cell.requests = len(batch)
+        batch, cell = self._take_pending()
+        if cell is None:
+            return 0
         self.stats.crashed_requests += len(batch)
         self._abandon_batch(cell, exc)
         return len(batch)
+
+    def detach_pending(self) -> List[Any]:
+        """Crash path for a replicated tier: give the open batch up
+        *unsettled* and return its items.
+
+        Flushed means durable, so the open batch is everything a crash
+        can cost the clients.  Instead of failing it (:meth:`fail_pending`)
+        the caller moves each ``(request, future)`` item into the next
+        leader with :meth:`requeue`; its futures stay pending meanwhile.
+        Counted in ``crashed_requests`` like a failed batch.
+        """
+        batch, cell = self._take_pending()
+        if cell is not None:
+            self.stats.crashed_requests += len(batch)
+            cell.futures = []
+            self._release(cell)
+        return batch
 
     # ------------------------------------------------------------------
     # lifecycle

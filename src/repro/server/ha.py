@@ -16,36 +16,36 @@ alone leaves open:
 * **Takeover temperature** — a *cold* host replays the entire WAL
   through :meth:`~repro.core.engine.CommitEngine.recover_from` (cost
   grows with history); a *warm* one runs a standby engine that tails
-  the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`), so takeover
-  applies only the un-polled suffix: O(delta), not a full replay
+  the shared WAL (:class:`~repro.wal.bookkeeper.WALTail`) after every
+  sync, so takeover applies only what the last sync left un-polled
   (benchmark E22's failover leg), then
   :meth:`~repro.core.engine.CommitEngine.seal_recovery` re-seeds the
   timestamp oracle above everything durable.
 * **Request survival** — a client's in-flight request must not strand
-  when the leader dies mid-batch.  :class:`ReplicatedFrontend` hands
-  out futures that resolve only at *durability* (the WAL sync for the
-  batch that carried the decision); a request whose decision never
-  became durable is transparently resubmitted against the next leader
-  — with its **original start timestamp**, so no timestamp is ever
-  reused — under a bounded-exponential
+  when the leader dies mid-batch.  Clients hold the leader frontend's
+  own :class:`~repro.server.frontend.CommitFuture`, which resolves only
+  once its batch's group-commit record is synced; a flushed request is
+  therefore durable, and the crashed leader's open batch is the whole
+  retry set.  Its futures move, unsettled, into the next leader's batch
+  — each request with its **original start timestamp**, so no timestamp
+  is ever reused — under a bounded-exponential
   :class:`~repro.server.retry.RetryPolicy`.
-* **No double-decide** — a decision that *did* reach a ledger quorum
-  settles its future from the WAL-sync listener and leaves the retry
-  set before any failover; only never-durable requests are retried, and
-  the new leader recovers exactly the durable prefix, so a retry can
-  never contradict persisted state.
+* **No double-decide** — a request leaves the open batch only by being
+  decided *and* made durable, and the new leader recovers exactly the
+  durable prefix, so a retry can never contradict persisted state.
 * **Admission control** — ``max_queue_depth`` flows through to each
   promoted frontend, shedding over-capacity load with a typed
   :class:`~repro.core.errors.Overloaded` instead of unbounded queueing
   (E22's overload leg).
 
-Durability-time settlement is deliberately *later* than the plain
-frontend's flush-time settlement: a single-host deployment equates
-"decided" with "will survive" because there is nothing else to take
-over, but a replicated tier must not acknowledge a decision the next
-leader might not recover.  The cost is one WAL sync of latency; the
-drive loop (:meth:`ReplicatedFrontend.flush`) bounds it.  Synchronous
-callers that want inline decisions use :class:`ReplicatedOracleFacade`.
+Settlement is the plain frontend's: a future reports done when its
+batch is durable, which is exactly what the next leader recovers, so
+the tier adds no future and no per-request bookkeeping of its own (one
+flush listener orders a batch's acknowledgements as its group-commit
+record lists them: commits, then aborts).  Standby catch-up runs after the settling submit or
+:meth:`ReplicatedFrontend.flush` returns, outside every request's
+latency.  Synchronous callers that want inline decisions use
+:class:`ReplicatedOracleFacade`.
 """
 
 from __future__ import annotations
@@ -59,100 +59,20 @@ from repro.core.status_oracle import CommitRequest, CommitResult
 from repro.coord.zookeeper import LeaderElection, Session, ZooKeeper
 from repro.server.frontend import CommitFuture, FlushedBatch, OracleFrontend
 from repro.server.retry import RetryPolicy
-from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL, WALTail
+from repro.wal.bookkeeper import BookKeeperWAL, WALTail
 
 
-class HAFuture(CommitFuture):
-    """A commit/abort future that resolves at *durability*.
-
-    The plain :class:`CommitFuture` resolves when its batch flushes —
-    correct for one host, premature for a replicated tier (a flushed
-    but un-synced decision dies with the leader).  An ``HAFuture``
-    stays pending across any number of failovers and retries of the
-    underlying request; it resolves when the decision's WAL record is
-    on a ledger quorum (or with an error once the request is known
-    never to resolve: a decision error, or the retry policy spent).
-    The outcome surface is identical to :class:`CommitFuture`.
-
-    It is also the tier's one tracking object per not-yet-durable
-    request: :class:`ReplicatedFrontend` keeps it in the failover retry
-    set and reads the fields below.  They are dropped at settle, so a
-    handle the client retains pins neither the request's footprint nor
-    the batch that decided it.
-    """
-
-    __slots__ = ("retries", "_request", "_inner", "_attempts", "_durable")
-
-    def __init__(self, start_ts: int) -> None:
-        CommitFuture.__init__(self, start_ts)
-        #: How many times the request was resubmitted after a leader crash.
-        self.retries = 0
-        #: What to resubmit: the ``CommitRequest``, or the start
-        #: timestamp for a client abort.
-        self._request: Any = None
-        #: The current submission's CommitFuture.  None while a submit
-        #: call is in flight — a WAL sync can fire *inside* submit (the
-        #: count-trigger flush filling a 1 KB entry), before the caller
-        #: has the inner future; ``_settle`` then defers via ``_durable``.
-        self._inner: Optional[CommitFuture] = None
-        self._attempts = 0
-        self._durable = False
-
-    def add_done_callback(self, fn: Callable[["CommitFuture"], None]) -> None:
-        # No batch backref: this future outlives any one batch.
-        if self._done:
-            fn(self)
-            return
-        if self._cbs is None:
-            self._cbs = [fn]
-        else:
-            self._cbs.append(fn)
-
-    def _settle_from(self, inner: CommitFuture) -> None:
-        """Adopt the (durable) outcome of the request's inner future."""
-        self._committed = inner._committed
-        self._commit_ts = inner._commit_ts
-        self._reason = inner._reason
-        self._row = inner._row
-        self._error = inner._error
-        self._request = self._inner = None
-        self._done = True  # lint: skip=future-discipline -- blessed settle
-        self._fire_callbacks()
-
-    def _settle_error(self, exc: BaseException) -> None:
-        self._error = exc
-        self._request = self._inner = None
-        self._done = True  # lint: skip=future-discipline -- blessed settle
-        self._fire_callbacks()
-
-
-class CatchUpCadence:
-    """Clock-driven scheduling for warm-standby catch-up polls.
-
-    A commit-count modulus ("every Nth commit") would couple the poll
-    rate to throughput: an idle deployment never polls (takeover delta
-    grows unbounded in time) and a hot one polls more often than the
-    tail needs.  The cadence is a *time* policy instead: :meth:`due`
-    answers whether ``interval`` seconds have elapsed on ``clock`` —
-    wall clock, the simulator's injected clock, or a test's manual
-    counter — since the last poll it approved.
-    :class:`ReplicatedFrontend` (``catch_up_interval=``) consults it on
-    its submit/flush drive paths.
-    """
-
-    def __init__(self, interval: float, clock: Callable[[], float]) -> None:
-        if interval <= 0:
-            raise ValueError("catch-up interval must be > 0")
-        self.interval = interval
-        self._clock = clock
-        self._last = clock()
-
-    def due(self) -> bool:
-        now = self._clock()
-        if now - self._last >= self.interval:
-            self._last = now
-            return True
-        return False
+def _settle_in_record_order(cell: FlushedBatch) -> None:
+    """Flush listener on every leader: a batch's futures settle in the
+    order its group-commit record lists the decisions — commits, then
+    aborts, each in decision order.  That is the tier's acknowledgement
+    order for a synced record, and order-sensitive readers depend on it
+    (the end-to-end benchmark pins a decision CRC over it)."""
+    if cell.commits and cell.aborts:
+        futures = cell.futures
+        cell.futures = [f for f in futures if f._committed] + [
+            f for f in futures if not f._committed
+        ]
 
 
 class FrontendHost:
@@ -162,12 +82,13 @@ class FrontendHost:
     recovers a commit engine — warm: drain its standby's remaining WAL
     delta and seal; cold: one full ``recover_from`` replay — and builds
     an :class:`OracleFrontend` over it with this deployment's
-    batching/admission configuration (``frontend_config``), registering
-    ``on_flush`` (the owning :class:`ReplicatedFrontend`'s decision-error
-    listener) on it.
+    batching/admission configuration (``frontend_config``).  It hands
+    itself to ``on_leader_change`` when it starts serving and when it
+    crashes while serving, so the owning :class:`ReplicatedFrontend`
+    can cache ``host.frontend`` (None after the crash).
 
     With ``warm=True`` the host keeps a standby engine that tails the
-    shared WAL (call :meth:`catch_up` periodically).
+    shared WAL (call :meth:`catch_up` after each sync).
     ``recovered_records`` reports the records applied *during takeover*
     (the whole log when cold, the remaining delta when warm),
     ``standby_records`` those applied while standing by, and
@@ -184,14 +105,14 @@ class FrontendHost:
         warm: bool = True,
         engine: str = "oracle",
         frontend_config: Optional[Dict[str, Any]] = None,
-        on_flush: Optional[Callable[[FlushedBatch], None]] = None,
+        on_leader_change: Optional[Callable[["FrontendHost"], None]] = None,
     ) -> None:
         self.host_id = host_id
         self.level = level
         self.engine = engine
         self._wal = wal
         self._frontend_config = dict(frontend_config or {})
-        self._on_flush = on_flush
+        self._on_leader_change = on_leader_change
         self.frontend: Optional[OracleFrontend] = None
         self.oracle: Optional[CommitEngine] = None
         self.recovered_records = 0
@@ -228,9 +149,9 @@ class FrontendHost:
 
         No-op (returns 0) for cold hosts, for the active leader — its
         engine *produces* the records; only standbys consume them — and
-        for a crashed host.  Call this on whatever cadence the
-        deployment can afford; whatever is not yet polled when the
-        leader dies is the takeover delta.
+        for a crashed host.  :class:`ReplicatedFrontend` calls it after
+        every sync; whatever is not yet polled when the leader dies is
+        the takeover delta.
         """
         standby = self._standby
         if standby is None:
@@ -280,8 +201,8 @@ class FrontendHost:
         self.frontend = OracleFrontend(
             oracle, wal=self._wal, **self._frontend_config
         )
-        if self._on_flush is not None:
-            self.frontend.on_flush(self._on_flush)
+        if self._on_leader_change is not None:
+            self._on_leader_change(self)
 
     @property
     def is_active(self) -> bool:
@@ -291,8 +212,11 @@ class FrontendHost:
         """The host dies: its memory — frontend, engine, standby and
         WAL tail — is gone, and its session expires (the ephemeral
         election node vanishes, so the next candidate promotes)."""
+        was_serving = self.frontend is not None
         self.frontend = self.oracle = None
         self._standby = self._tail = None
+        if was_serving and self._on_leader_change is not None:
+            self._on_leader_change(self)  # before a successor promotes
         self.session.close()
 
 
@@ -305,16 +229,16 @@ class ReplicatedFrontend:
     sessions run unchanged over a replicated tier.  Differences from a
     single frontend:
 
-    * futures are :class:`HAFuture` — resolved at WAL durability, not
-      at batch flush;
+    * submits go to whichever host leads now, and the future handed
+      out is that leader frontend's own — it survives a failover;
     * :meth:`kill_active` crashes the leader: the un-synced WAL buffer
-      is lost, the open batch's futures fail *inside the dead host*,
-      the next candidate is promoted (O(delta) when ``warm``), and
-      every not-yet-durable client request is resubmitted against the
-      new leader with its original start timestamp;
-    * the deployment drive loop is :meth:`flush` (force batch + WAL
-      out, settling durable futures) plus :meth:`standby_catch_up`
-      (advance the standbys' WAL tails).
+      is lost, the open batch is detached unsettled, the next candidate
+      is promoted (O(delta) when ``warm``), and the detached requests
+      are re-enqueued into the new leader with their original start
+      timestamps and futures;
+    * after a submit or :meth:`flush` during which the WAL synced, every
+      warm standby polls its tail (:meth:`standby_catch_up`), so a
+      takeover replays at most what arrived since the last sync.
 
     Args:
         num_hosts: candidate frontends (the leader serves; the rest
@@ -330,16 +254,10 @@ class ReplicatedFrontend:
         warm: run standbys with WAL tails (True, the point of the
             tier); False forces cold full-replay takeovers — the E22
             baseline.
-        catch_up_interval: when set, drive warm-standby catch-up from
-            ``clock`` — once the interval elapses, the next submit or
-            :meth:`flush` syncs the WAL and polls every standby tail
-            (the PR-6 commit-count modulus, replaced by a time policy;
-            see :class:`CatchUpCadence`).
-        clock: time source for the cadence (wall clock by default;
-            pass the simulator's clock in a simulation).
         retry_policy: pacing/bounds for post-failover resubmission; a
-            request still not durable after ``max_attempts`` submissions
-            fails its future with the last crash error.
+            request still in a crashed leader's open batch after
+            ``max_attempts`` submissions fails its future with the
+            crash error.
         sleep: optional callable receiving each retry backoff delay
             (injected time; accounting-only when omitted).
         max_batch / flush_interval / begin_lease / max_queue_depth:
@@ -358,8 +276,6 @@ class ReplicatedFrontend:
         flush_interval: Optional[float] = None,
         begin_lease: Optional[int] = None,
         max_queue_depth: Optional[int] = None,
-        catch_up_interval: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if num_hosts < 1:
             raise ValueError("num_hosts must be >= 1")
@@ -367,18 +283,20 @@ class ReplicatedFrontend:
             engine = default_engine_kind()
         self.zookeeper = ZooKeeper()
         self.wal = BookKeeperWAL()
-        self._cadence: Optional[CatchUpCadence] = None
-        if catch_up_interval is not None:
-            self._cadence = CatchUpCadence(
-                catch_up_interval, clock or time.monotonic
-            )
         self._retry_policy = retry_policy or RetryPolicy()
         self._sleep = sleep
-        self._inflight: Dict[int, HAFuture] = {}
         self._closed = False
+        #: The leader's frontend (None while no host serves): set at
+        #: every promotion, cleared when the serving host crashes.
+        self._frontend: Optional[OracleFrontend] = None
+        #: ``wal.flush_count`` at the last standby poll.
+        self._polled_syncs = 0
         self.failovers = 0
         #: Requests resubmitted after a leader crash (sum over crashes).
         self.retried_requests = 0
+        #: Resubmissions so far per start timestamp, for the requests
+        #: the latest failover moved to the next leader.
+        self.retries: Dict[int, int] = {}
         #: Requests whose retry budget ran out (futures failed).
         self.failed_after_retries = 0
         #: Injected-time seconds of retry backoff accrued.
@@ -392,10 +310,6 @@ class ReplicatedFrontend:
             frontend_config["begin_lease"] = begin_lease
         if max_queue_depth is not None:
             frontend_config["max_queue_depth"] = max_queue_depth
-        # Durability listener first: from the very first batch, records
-        # reaching a ledger quorum settle their futures (and leave the
-        # retry set — the no-double-decide invariant).
-        self.wal.on_sync(self._on_durable)
         self.hosts: List[FrontendHost] = [
             FrontendHost(
                 i,
@@ -405,10 +319,7 @@ class ReplicatedFrontend:
                 warm=warm,
                 engine=engine,
                 frontend_config=frontend_config,
-                # Decision errors are permanent (retrying re-raises the
-                # same error), so they settle at flush, not at
-                # durability — they never reach the WAL.
-                on_flush=self._on_flush_errors,
+                on_leader_change=self._leader_changed,
             )
             for i in range(num_hosts)
         ]
@@ -416,6 +327,11 @@ class ReplicatedFrontend:
     # ------------------------------------------------------------------
     # leader plumbing
     # ------------------------------------------------------------------
+    def _leader_changed(self, host: FrontendHost) -> None:
+        frontend = self._frontend = host.frontend
+        if frontend is not None:
+            frontend.on_flush(_settle_in_record_order)
+
     def active_host(self) -> FrontendHost:
         for host in self.hosts:
             if host.is_active:
@@ -424,96 +340,68 @@ class ReplicatedFrontend:
 
     @property
     def active_frontend(self) -> OracleFrontend:
-        return self.active_host().frontend
+        frontend = self._frontend
+        if frontend is None:
+            raise self._unavailable()
+        return frontend
 
     def standby_catch_up(self) -> int:
         """Poll every standby's WAL tail once; returns records applied."""
+        self._polled_syncs = self.wal.flush_count
         return sum(host.catch_up() for host in self.hosts)
 
     # ------------------------------------------------------------------
     # client surface (ClientSession-compatible)
+    #
+    # Each call goes to the cached leader frontend, then tails the
+    # standbys if the WAL synced meanwhile: the batch that synced has
+    # settled its futures by then, and the open batch is empty, so no
+    # request waits on standby work.  The poll goes through the
+    # instance attribute, where a tracer may have wrapped it.
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def begin(self) -> int:
+    def _unavailable(self) -> OracleClosed:
         if self._closed:
-            raise OracleClosed("replicated frontend is closed")
-        return self.active_frontend.begin()
+            return OracleClosed("replicated frontend is closed")
+        return OracleClosed("no active frontend (all hosts down?)")
+
+    def begin(self) -> int:
+        frontend = self._frontend
+        if frontend is None or self._closed:
+            raise self._unavailable()
+        return frontend.begin()
 
     def begin_many(self, n: int) -> List[int]:
-        if self._closed:
-            raise OracleClosed("replicated frontend is closed")
-        return self.active_frontend.begin_many(n)
+        frontend = self._frontend
+        if frontend is None or self._closed:
+            raise self._unavailable()
+        return frontend.begin_many(n)
 
-    def submit_commit(self, request: CommitRequest) -> HAFuture:
-        """Queue a commit request; the future resolves at durability.
-
-        Read-only requests (§4.1 condition 3) resolve immediately, as
-        on the plain frontend — they touch no durable state, so there
-        is nothing a failover could lose.  ``Overloaded`` rejections
-        propagate to the caller (the session's retry policy backs off).
-        """
-        if self._closed:
-            raise OracleClosed("replicated frontend is closed")
-        future = HAFuture(request.start_ts)
-        future._request = request
-        self._submit_tracked(future, self.active_frontend)
-        return future
-
-    def submit_abort(self, start_ts: int) -> HAFuture:
-        """Queue a client abort; the future resolves at durability."""
-        if self._closed:
-            raise OracleClosed("replicated frontend is closed")
-        future = HAFuture(start_ts)
-        future._request = start_ts
-        self._submit_tracked(future, self.active_frontend)
-        return future
-
-    def _submit_tracked(self, future: HAFuture, frontend: OracleFrontend) -> None:
-        """One (re)submission of a future's request against ``frontend``.
-
-        The future is registered in the retry set *before* the inner
-        submit with ``_inner=None``: the submit itself can flush the
-        batch (count trigger) and even sync the WAL (1 KB entry), in
-        which case :meth:`_settle` fires mid-call — it finds the future,
-        flags ``_durable``, and the settle completes here once the inner
-        future is in hand.  Exceptions (``Overloaded``, a closed
-        frontend) deregister the future and propagate.
-        """
-        start_ts = future.start_ts
-        request = future._request
-        is_commit = request.__class__ is CommitRequest
-        future._inner = None
-        future._durable = False
-        future._attempts += 1
-        self._inflight[start_ts] = future
-        try:
-            if is_commit:
-                inner = frontend.submit_commit(request)
-            else:
-                inner = frontend.submit_abort(request)
-        except BaseException:
-            self._inflight.pop(start_ts, None)
-            raise
-        if is_commit and inner.batch is None:
-            # Read-only fast path: decided at submit, nothing durable
-            # (and nothing a failover could lose) — resolve immediately.
-            self._inflight.pop(start_ts, None)
-            future._settle_from(inner)
-            return
-        future._inner = inner
-        if future._durable:
-            # The WAL sync raced the submit (already deregistered).
-            future._settle_from(inner)
-        self._maybe_catch_up()
-
-    def _maybe_catch_up(self) -> None:
-        """Clock-driven warm-standby catch-up (see ``catch_up_interval``)."""
-        if self._cadence is not None and self._cadence.due():
-            self.wal.flush()
+    def submit_commit(self, request: CommitRequest) -> CommitFuture:
+        """Queue a commit request on the leader; the future resolves
+        when its batch is durable (read-only requests at once, as on
+        the plain frontend).  ``Overloaded`` rejections propagate to the
+        caller (the session's retry policy backs off)."""
+        frontend = self._frontend
+        if frontend is None or self._closed:
+            raise self._unavailable()
+        future = frontend.submit_commit(request)
+        if self.wal.flush_count != self._polled_syncs:
             self.standby_catch_up()
+        return future
+
+    def submit_abort(self, start_ts: int) -> CommitFuture:
+        """Queue a client abort; the future resolves when durable."""
+        frontend = self._frontend
+        if frontend is None or self._closed:
+            raise self._unavailable()
+        future = frontend.submit_abort(start_ts)
+        if self.wal.flush_count != self._polled_syncs:
+            self.standby_catch_up()
+        return future
 
     def session(self, name: Optional[str] = None, begin_lease: int = 1,
                 retry_policy: Optional[RetryPolicy] = None,
@@ -527,135 +415,87 @@ class ReplicatedFrontend:
 
     @property
     def inflight_count(self) -> int:
-        """Client requests not yet durable (the failover retry set)."""
-        return len(self._inflight)
+        """Client requests not yet durable: the leader's open batch,
+        which is the failover retry set."""
+        frontend = self._frontend
+        return frontend.pending_count if frontend is not None else 0
 
     # ------------------------------------------------------------------
     # drive loop
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Force the open batch and the WAL out.
+        """Force the open batch out.
 
         After this returns, every request submitted before the call has
         settled its future (durable outcome or decision error) — the
-        replicated tier's group-commit barrier.
+        replicated tier's group-commit barrier — and the standbys have
+        tailed the sync.
         """
-        host = self.active_host()
-        if host.frontend is not None:
-            host.frontend.flush()
-        self.wal.flush()
-        self._maybe_catch_up()
+        self.active_frontend.flush()
+        if self.wal.flush_count != self._polled_syncs:
+            self.standby_catch_up()
 
     def close(self) -> None:
         """Flush everything out and stop accepting requests."""
         if self._closed:
             return
-        host = None
-        try:
-            host = self.active_host()
-        except OracleClosed:
-            pass
-        if host is not None and host.frontend is not None:
-            host.frontend.close()
-            self.wal.flush()
+        if self._frontend is not None:
+            self._frontend.close()
         self._closed = True
-
-    # ------------------------------------------------------------------
-    # settlement
-    # ------------------------------------------------------------------
-    def _on_durable(self, records) -> None:
-        """WAL-sync listener: settle every request a synced batch
-        decided.  The inner future is already resolved (its batch
-        flushed before the record could sync), so settlement is a copy."""
-        for record in records:
-            if record.kind != GROUP_COMMIT_RECORD:
-                continue
-            commits, aborts = record.payload
-            for start_ts, _commit_ts, _rows in commits:
-                self._settle(start_ts)
-            for start_ts in aborts:
-                self._settle(start_ts)
-
-    def _settle(self, start_ts: int) -> None:
-        future = self._inflight.pop(start_ts, None)
-        if future is None:
-            return
-        inner = future._inner
-        if inner is None:
-            # Sync fired inside the submit call itself; the submit path
-            # completes the settle once it has the inner future.
-            future._durable = True
-            return
-        future._settle_from(inner)
-
-    def _on_flush_errors(self, cell: FlushedBatch) -> None:
-        for start_ts, exc in cell.errors:
-            future = self._inflight.pop(start_ts, None)
-            if future is not None:
-                future._settle_error(exc)
 
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
     def kill_active(self) -> FrontendHost:
-        """Crash the leader; promote the next host; retry the in-flight.
+        """Crash the leader; promote the next host; retry the open batch.
 
         The crash sequence mirrors a real host loss: the WAL's buffered
-        (never-acked) records die first, then the host's open batch
-        fails inside the dead frontend, then the session expires and
+        (never-acked) records die first, then the host's open batch is
+        detached from the dead frontend, then the session expires and
         the election promotes the next candidate (warm: O(delta)
-        catch-up).  Finally every client request that never became
-        durable — crashed open-batch requests *and* flushed-but-unsynced
-        ones alike — is resubmitted against the new leader with its
-        original start timestamp, paced by the retry policy.
+        catch-up).  Finally every detached request — flushed means
+        durable, so these are all the never-durable ones — is
+        re-enqueued into the new leader with its original start
+        timestamp and its original future, paced by the retry policy.
         """
         victim = self.active_host()
         crash_exc = OracleClosed(
             f"frontend host {victim.host_id} crashed mid-batch"
         )
         self.wal.drop_pending()
-        if victim.frontend is not None:
-            victim.frontend.fail_pending(crash_exc)
-        victim.crash()
+        detached = victim.frontend.detach_pending()
+        victim.crash()  # the next candidate promotes inside this call
         self.failovers += 1
-        self._retry_inflight(crash_exc)
+        self._retry(detached, crash_exc)
         return victim
 
-    def _retry_inflight(self, crash_exc: BaseException) -> None:
-        if not self._inflight:
-            return
-        try:
-            frontend = self.active_frontend
-        except OracleClosed:
-            # No survivor: every outstanding request fails permanently.
-            for future in list(self._inflight.values()):
-                self._inflight.pop(future.start_ts, None)
-                future._settle_error(crash_exc)
-                self.failed_after_retries += 1
-            return
+    def _retry(self, items: List[Any], crash_exc: BaseException) -> None:
+        """Move a dead leader's open batch into the new one.  Only these
+        requests get a retry count; one that failed over before and is
+        still unflushed carries its count over."""
+        frontend = self._frontend
         policy = self._retry_policy
-        # Snapshot the retry set: resubmission re-registers each future
-        # in turn, and a resubmit's own count-flush can sync the WAL and
-        # settle earlier ones mid-loop (each record only ever names
-        # requests whose future already holds its *new* inner future).
-        for future in list(self._inflight.values()):
-            if future._attempts >= policy.max_attempts:
-                self._inflight.pop(future.start_ts, None)
-                future._settle_error(crash_exc)
+        previous, self.retries = self.retries, {}
+        for item in items:
+            future = item[1]
+            attempts = previous.get(future.start_ts, 0) + 1
+            if frontend is None or attempts >= policy.max_attempts:
+                # No survivor, or the budget is spent: fail permanently.
+                future._fail(crash_exc)
                 self.failed_after_retries += 1
                 continue
-            delay = policy.delay_for(future._attempts)
+            delay = policy.delay_for(attempts)
             self.backoff_seconds += delay
             if self._sleep is not None:
                 self._sleep(delay)
             self.retried_requests += 1
-            future.retries += 1
+            self.retries[future.start_ts] = attempts
             try:
-                self._submit_tracked(future, frontend)
+                frontend.requeue(item)
             except Overloaded as exc:
                 # The new leader shed the retry: surface it rather than
-                # silently dropping the request from the retry set.
-                future._settle_error(exc)
+                # silently dropping the request.
+                future._fail(exc)
                 self.failed_after_retries += 1
 
 

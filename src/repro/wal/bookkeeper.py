@@ -109,16 +109,14 @@ class BookKeeperWAL:
         self._batch_timeout = batch_timeout
         self._manual_time = 0.0
         self._clock = clock or (lambda: self._manual_time)
-        self._sync_listeners: List[Callable[[List[WALRecord]], None]] = []
-        if sync_callback is not None:
-            self._sync_listeners.append(sync_callback)
+        self._sync_callback = sync_callback
 
         # The batch buffer is the WAL's one piece of mutable hot state;
         # every mutation happens under _wal_lock (ledger replication and
-        # sync listeners run *outside* it — append() may flush inline on
-        # the size trigger, so holding the lock across the ledger write
-        # would self-deadlock and order the WAL lock under every
-        # listener's own locks).
+        # the sync callback run *outside* it — append() may flush inline
+        # on the size trigger, so holding the lock across the ledger
+        # write would self-deadlock and order the WAL lock under the
+        # callback's own locks).
         self._wal_lock = make_lock("wal")
         self._rc = active_checker()
         if self._rc is not None:
@@ -220,21 +218,9 @@ class BookKeeperWAL:
         self._ledger.append(batch, size=sum(r.size for r in batch))
         self.flush_count += 1
         self.flushed_record_count += len(batch)
-        for listener in self._sync_listeners:
-            listener(batch)
+        if self._sync_callback is not None:
+            self._sync_callback(batch)
         return len(batch)
-
-    def on_sync(self, listener: Callable[[List[WALRecord]], None]) -> None:
-        """Register an additional durability listener.
-
-        Every listener is invoked with the record batch *after* it is
-        replicated to a ledger quorum — the point at which commit acks
-        may be released.  The constructor's ``sync_callback`` is the
-        first listener; a replicated serving tier registers another one
-        to learn which in-flight requests became durable (and therefore
-        must never be retried on a failover).
-        """
-        self._sync_listeners.append(listener)
 
     def drop_pending(self) -> int:
         """Discard the unflushed batch buffer (host crash).

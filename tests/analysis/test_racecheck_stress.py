@@ -5,7 +5,7 @@ submitting into one frontend over a partitioned oracle (the submit side
 is single-writer, so they serialize on a client lock; the frontend swap
 lock is then taken from every thread), flushes append group-commit
 records (WAL buffer lock), and a leader crash drives the failover path
-(``fail_pending`` under the dead host's flush lock, WAL
+(``detach_pending`` under the dead host's flush lock, WAL
 ``drop_pending``) — and the whole run must end with an acyclic lock
 order and zero unguarded accesses.
 """
@@ -88,8 +88,8 @@ def test_ha_failover_paths_run_clean():
         ]
         rf.flush()
         assert all(f.done for f in durable)
-        # Crash the leader mid-open-batch, twice: fail_pending +
-        # drop_pending + promotion + retry all run under the checker.
+        # Crash the leader mid-open-batch, twice: detach_pending +
+        # drop_pending + promotion + requeue all run under the checker.
         for round_no in range(2):
             caught = rf.submit_commit(
                 CommitRequest(rf.begin(), write_set=frozenset({f"mid{round_no}"}))

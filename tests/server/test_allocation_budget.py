@@ -8,7 +8,8 @@ the objects cannot creep back:
 * **pending** — tracked objects per in-flight (submitted, un-flushed)
   request: the request's two ``frozenset`` footprints, the
   ``CommitRequest``, the ``CommitFuture`` and the ``(request, future)``
-  batch item on the plain path; the ``HAFuture`` on top on the HA path.
+  batch item — on the HA path too, whose clients hold the leader
+  frontend's own future and whose retry set is the open batch itself.
 * **retained** — tracked objects left per *durable* decision once the
   client dropped its handles: none.  A constant number per WAL record
   (the record, its ledger entries) is fine.
@@ -37,7 +38,7 @@ PENDING = MAX_BATCH - 1
 DURABLE = 8 * MAX_BATCH
 #: Tracked objects per in-flight request.
 PLAIN_BUDGET = 5
-HA_BUDGET = 6
+HA_BUDGET = 5
 #: Tracked objects a window may add that are not per request: the list
 #: of handles, the open batch and its future list, the census itself.
 SCAFFOLDING = 8

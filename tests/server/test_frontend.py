@@ -295,13 +295,14 @@ class TestWALGroupRecords:
         # batch order s1's install precedes s2's check, so s2 aborts —
         # exactly what the unbatched oracle fed the same order decides.
         frontend.submit_commit_nowait(req(s2, writes={"b"}, reads={"a"}))
-        frontend.submit_abort_nowait(frontend.begin())
+        abort = frontend.submit_abort(frontend.begin())
         frontend.flush()
         (batch,) = batches
         assert batch.commits + batch.aborts == 3
         assert [c[0] for c in batch.committed_payload] == [s1]
         assert len(batch.aborted_payload) == 2
-        assert batch.futures == []  # nowait: no per-request futures
+        assert abort.outcome() == "aborted"
+        assert batch.futures == []  # released once the batch resolved
         assert oracle.stats.commits == 1 and oracle.stats.aborts == 2
 
 
@@ -821,94 +822,3 @@ class TestFutureStateParity:
             assert future._result is None  # built lazily...
             assert future.result().committed  # ...on first read
             assert future._result is not None
-
-
-class TestFutureArena:
-    """The CommitFuture freelist behind submit_commit_pooled (the
-    allocation-free ingest path).  A recycled future must be
-    indistinguishable from a fresh one — class-level defaults are the
-    reset mechanism — and a pending future must be refused."""
-
-    def test_pooled_submit_resolves_like_plain_submit(self):
-        frontend, oracle, _ = make_frontend(max_batch=100)
-        t1, t2 = frontend.begin(), frontend.begin()
-        f1 = frontend.submit_commit_pooled(req(t1, writes={"x"}))
-        f2 = frontend.submit_commit_pooled(req(t2, writes={"y"}, reads={"x"}))
-        frontend.flush()
-        assert f1.committed and f1.commit_ts is not None
-        assert not f2.committed  # rw-conflict under wsi
-        assert f2.result().conflict_row == "x"
-
-    def test_recycled_future_is_fresh(self):
-        frontend, _, _ = make_frontend(max_batch=100)
-        t1, t2 = frontend.begin(), frontend.begin()  # t2 concurrent with t1
-        f1 = frontend.submit_commit_pooled(req(t1, writes={"x"}))
-        frontend.flush()
-        assert f1.committed
-        f1.add_done_callback(lambda f: None)
-        f1.result()  # populate the lazy result cache too
-        frontend.recycle_future(f1)
-        f2 = frontend.submit_commit_pooled(req(t2, writes={"y"}, reads={"x"}))
-        assert f2 is f1  # reuse, not allocation
-        assert f2.start_ts == t2
-        assert not f2.done  # all settled state was cleared
-        with pytest.raises(DecisionPending):
-            f2.committed
-        frontend.flush()
-        assert not f2.committed  # the *new* request's outcome
-        assert f2.result().start_ts == t2
-
-    def test_recycle_pending_future_refused(self):
-        frontend, _, _ = make_frontend(max_batch=100)
-        future = frontend.submit_commit_pooled(
-            req(frontend.begin(), writes={"x"})
-        )
-        with pytest.raises(ValueError, match="pending"):
-            frontend.recycle_future(future)
-        frontend.flush()
-        frontend.recycle_future(future)  # settled: accepted now
-
-    def test_read_only_fast_path_pooled(self):
-        frontend, _, _ = make_frontend(max_batch=100)
-        future = frontend.submit_commit_pooled(req(frontend.begin()))
-        assert future.done and future.committed
-        assert future.commit_ts is None
-        frontend.recycle_future(future)
-        assert len(frontend.future_arena) == 1
-
-    def test_arena_counters_and_steady_state(self):
-        frontend, _, _ = make_frontend(max_batch=4)
-        arena = frontend.future_arena
-        outcomes = []
-        live = []
-        for i in range(32):
-            future = frontend.submit_commit_pooled(
-                req(frontend.begin(), writes={i % 8})
-            )
-            live.append(future)
-            if len(live) == 4:  # count-trigger flushed this batch
-                outcomes.extend(f.outcome() for f in live)
-                for f in live:
-                    frontend.recycle_future(f)
-                live.clear()
-        assert len(outcomes) == 32
-        assert set(outcomes) == {"committed"}
-        # Steady state: after the first batch allocated its 4 futures,
-        # every later acquisition was served from the freelist.
-        assert arena.allocated == 4
-        assert arena.reused == 28
-        assert arena.recycled == 32
-        assert len(arena) == 4
-
-    def test_pooled_respects_admission_control(self):
-        from repro.core.errors import Overloaded
-
-        frontend, _, _ = make_frontend(max_batch=100, max_queue_depth=2)
-        arena = frontend.future_arena
-        frontend.submit_commit_pooled(req(frontend.begin(), writes={"a"}))
-        frontend.submit_commit_pooled(req(frontend.begin(), writes={"b"}))
-        with pytest.raises(Overloaded):
-            frontend.submit_commit_pooled(req(frontend.begin(), writes={"c"}))
-        # The shed submit never drew from the arena (no future leaked).
-        assert arena.allocated == 2
-        frontend.flush()

@@ -6,8 +6,9 @@ forever — the error surfaced only at the flush call site, and nothing
 ever resolved the futures.  Now the batch is abandoned: every future
 resolves with the error, callbacks fire, admission slots release.
 
-Plus the close-trigger accounting split (``flushes_by_close`` vs
-``flushes_by_force``) and the ``max_queue_depth`` admission bound.
+Plus the replicated tier's detach/requeue crash path, the close-trigger
+accounting split (``flushes_by_close`` vs ``flushes_by_force``) and the
+``max_queue_depth`` admission bound.
 """
 
 import pytest
@@ -124,6 +125,81 @@ class TestFlushFaults:
         assert oracle.last_commit("x") is None  # never decided
 
 
+class TestDetachAndRequeue:
+    """The replicated tier's crash path: the dead frontend gives its open
+    batch up unsettled, and the next one takes the same items — same
+    futures, same start timestamps — as if freshly submitted."""
+
+    def _loaded(self, oracle, **kwargs):
+        frontend = OracleFrontend(oracle, max_batch=100, **kwargs)
+        starts = [frontend.begin() for _ in range(3)]
+        futures = [
+            frontend.submit_commit(req(starts[0], writes={"x"})),
+            frontend.submit_abort(starts[1]),
+            frontend.submit_commit(req(starts[2], writes={"y"})),
+        ]
+        return frontend, starts, futures
+
+    def test_detach_leaves_futures_pending(self):
+        frontend, starts, futures = self._loaded(
+            make_oracle("wsi"), max_queue_depth=5
+        )
+        items = frontend.detach_pending()
+        assert [item[1] for item in items] == futures
+        assert [item[0] for item in items][1] == starts[1]  # a client abort
+        assert not any(f.done for f in futures)
+        assert frontend.pending_count == 0 and frontend.inflight == 0
+        assert frontend.stats.crashed_requests == 3
+        assert frontend.detach_pending() == []  # nothing left to take
+
+    def test_requeue_settles_the_same_futures_on_the_next_frontend(self):
+        oracle = make_oracle("wsi")
+        dead, starts, futures = self._loaded(oracle)
+        session_owned = futures[2]
+        tallied = []
+        session_owned._attach_owner(type("Owner", (), {"_tally": tallied.append})())
+        items = dead.detach_pending()
+        successor = OracleFrontend(oracle, max_batch=100)
+        for item in items:
+            successor.requeue(item)
+        assert successor.pending_count == 3
+        assert successor.stats.client_aborts == 1
+        successor.flush()
+        assert [f.outcome() for f in futures] == ["committed", "aborted", "committed"]
+        assert [f.start_ts for f in futures] == starts
+        assert tallied == [session_owned]  # the owner hook moved with it
+        assert oracle.stats.commits == 2 and oracle.stats.aborts == 1
+
+    def test_requeue_applies_admission_control(self):
+        oracle = make_oracle("wsi")
+        dead, _, _ = self._loaded(oracle)
+        items = dead.detach_pending()
+        successor = OracleFrontend(oracle, max_batch=100, max_queue_depth=2)
+        successor.requeue(items[0])
+        successor.requeue(items[1])
+        with pytest.raises(Overloaded):
+            successor.requeue(items[2])
+        assert successor.pending_count == 2
+
+    def test_requeue_refused_by_a_closed_frontend(self):
+        oracle = make_oracle("wsi")
+        dead, _, futures = self._loaded(oracle)
+        successor = OracleFrontend(oracle, max_batch=100)
+        successor.close()
+        with pytest.raises(OracleClosed):
+            successor.requeue(dead.detach_pending()[0])
+        assert not futures[0].done  # still the caller's to settle
+
+    def test_requeue_count_trigger_flushes(self):
+        oracle = make_oracle("wsi")
+        dead, _, futures = self._loaded(oracle)
+        successor = OracleFrontend(oracle, max_batch=3)
+        for item in dead.detach_pending():
+            successor.requeue(item)
+        assert all(f.done for f in futures)
+        assert successor.stats.flushes_by_count == 1
+
+
 class TestCloseTrigger:
     def test_close_flush_counted_apart_from_force(self):
         frontend = OracleFrontend(make_oracle("wsi"), max_batch=100)
@@ -163,7 +239,7 @@ class TestAdmissionControl:
         frontend = self._frontend(1)
         frontend.submit_commit_nowait(req(frontend.begin(), writes={"a"}))
         with pytest.raises(Overloaded):
-            frontend.submit_abort_nowait(frontend.begin())
+            frontend.submit_abort(frontend.begin())
 
     def test_read_only_fast_path_exempt(self):
         frontend = self._frontend(1)

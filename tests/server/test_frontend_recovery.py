@@ -1,19 +1,17 @@
 """Crash-recovery coverage for the group-commit frontend.
 
-Two crash points matter for a batched frontend:
-
-1. **before flush** — requests still coalescing in the frontend's batch
-   buffer were never decided, never acknowledged, and are simply gone;
-2. **after flush, before WAL durability** — the batch's group-commit
-   record sat in the BookKeeperWAL buffer; the decisions were computed
-   but never became durable, so recovery must not see them either.
-
-In both cases ``recover_from`` must restore exactly the durable prefix.
-Plus the §5.1 regression: read-only traffic writes no WAL record at all.
+A flush ends with the batch's group-commit record synced, so one crash
+point is left for a batched frontend: **before flush** — requests still
+coalescing in the frontend's batch buffer were never decided, never
+acknowledged, and are simply gone.  ``recover_from`` must restore
+exactly the durable prefix, and every future that reported done must be
+in it (the ack-before-durability regression below).  Plus the §5.1
+regression: read-only traffic writes no WAL record at all.
 """
 
 import pytest
 
+from repro.core.errors import OracleClosed
 from repro.core.status_oracle import CommitRequest, make_oracle
 from repro.server import OracleFrontend
 from repro.wal.bookkeeper import GROUP_COMMIT_RECORD, BookKeeperWAL
@@ -34,8 +32,8 @@ def durable_decisions(wal):
 
 class TestMidBatchCrash:
     def _frontend(self, max_batch=100):
-        # Large WAL batch_bytes keeps group records buffered until we
-        # decide their fate explicitly — the crash window under test.
+        # Large WAL batch_bytes: the size trigger never fires, so any
+        # durability comes from the frontend's own flush-time sync.
         wal = BookKeeperWAL(batch_bytes=1 << 20)
         oracle = make_oracle("wsi", wal=wal)
         return OracleFrontend(oracle, max_batch=max_batch), oracle, wal
@@ -53,16 +51,19 @@ class TestMidBatchCrash:
         assert fresh.last_commit("b") is None
         assert fresh.commit_table.is_committed(durable.start_ts)
 
-    def test_flushed_batch_without_wal_durability_is_lost(self):
+    def test_batch_not_done_until_flushed_and_lost_on_crash(self):
+        # There is no decided-but-unsynced batch any more: the flush is
+        # the durability point.  What a crash can still take is the open
+        # batch, and none of its futures ever reported done.
         frontend, oracle, wal = self._frontend()
         first = frontend.submit_commit(req(frontend.begin(), writes={"a"}))
         frontend.flush()
-        wal.flush()  # durable point
+        assert first.done and wal.pending_count == 0  # flushed = durable
         second = frontend.submit_commit(req(frontend.begin(), writes={"b"}))
-        frontend.flush()  # decision computed, group record only buffered
-        assert second.committed  # the live oracle did decide it...
-        assert wal.pending_count == 1
-        wal.drop_pending()  # ...but the host crashed before durability
+        assert not second.done  # not acknowledged before its flush...
+        frontend.fail_pending(OracleClosed("host died"))  # ...the host dies
+        wal.drop_pending()
+        assert second.outcome() == "error"
         fresh = make_oracle("wsi")
         fresh.recover_from(wal)
         assert fresh.last_commit("a") == first.commit_ts
@@ -127,6 +128,49 @@ class TestMidBatchCrash:
         fresh.recover_from(wal)
         for _ in range(10):
             assert fresh.begin() not in used
+
+
+class TestAckImpliesDurable:
+    """Every future that reports done is in a fresh ``recover_from`` —
+    with Appendix A's default 1 KB / 5 ms WAL, and no extra
+    ``wal.flush()`` by the caller."""
+
+    def _frontend(self, max_batch):
+        wal = BookKeeperWAL()
+        oracle = make_oracle("wsi", wal=wal)
+        return OracleFrontend(oracle, max_batch=max_batch, wal=wal), wal
+
+    def _assert_done_means_recovered(self, futures, wal):
+        done = [f for f in futures if f.done]
+        fresh = make_oracle("wsi")
+        fresh.recover_from(wal)
+        for future in done:
+            assert fresh.commit_table.commit_timestamp(future.start_ts) == (
+                future.commit_ts
+            )
+        return done
+
+    def test_count_flush_below_one_ledger_entry(self):
+        # 4 decisions = 128 B: the WAL's size trigger does not fire, so
+        # the frontend must sync the record itself before settling.
+        frontend, wal = self._frontend(max_batch=4)
+        futures = [
+            frontend.submit_commit(req(frontend.begin(), writes={f"r{i}"}))
+            for i in range(4)
+        ]
+        assert [f.outcome() for f in futures] == ["committed"] * 4
+        assert len(self._assert_done_means_recovered(futures, wal)) == 4
+
+    def test_timer_and_forced_flush_sync_their_partial_batch(self):
+        frontend, wal = self._frontend(max_batch=32)
+        timed = frontend.submit_commit(req(frontend.begin(), writes={"t"}))
+        frontend.advance_time(1.0)
+        assert frontend.tick()  # the frontend's flush-interval trigger
+        forced = frontend.submit_commit(req(frontend.begin(), writes={"f"}))
+        frontend.flush()
+        assert wal.pending_count == 0  # no second 5 ms wait in the WAL
+        done = self._assert_done_means_recovered([timed, forced], wal)
+        assert done == [timed, forced]
 
 
 class TestBeginLeaseCrash:

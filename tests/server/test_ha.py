@@ -2,8 +2,9 @@
 
 The tentpole invariants:
 
-* a client future resolves at *durability* (WAL sync), never merely at
-  batch flush — and never stays a permanent ``DecisionPending``;
+* a client holds the leader frontend's own future, which resolves when
+  its batch flushes — and a flush ends at *durability* (WAL sync) — and
+  never stays a permanent ``DecisionPending``;
 * crash-the-leader-mid-open-batch: the unacked batch dies with the
   host, its requests are resubmitted against the next leader with their
   **original start timestamps**, and re-decide identically when no new
@@ -29,14 +30,16 @@ def req(start, writes=(), reads=()):
 
 
 class TestSteadyState:
-    def test_future_resolves_at_durability_not_flush(self):
+    def test_future_resolves_at_flush_which_ends_at_durability(self):
         rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
         future = rf.submit_commit(req(rf.begin(), writes={"a"}))
-        rf.active_frontend.flush()  # decided...
-        assert not future.done  # ...but the group record is not durable
-        rf.wal.flush()
-        assert future.done and future.outcome() == "committed"
+        assert not future.done and rf.inflight_count == 1
+        rf.active_frontend.flush()  # decided *and* synced...
+        assert rf.wal.pending_count == 0
+        assert future.done and future.outcome() == "committed"  # ...then done
         assert rf.inflight_count == 0
+        # the handle is the leader frontend's own future, no wrapper
+        assert future.batch is not None and future.batch.flushed
 
     def test_flush_is_the_durability_barrier(self):
         rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
@@ -48,6 +51,23 @@ class TestSteadyState:
         assert all(f.done for f in futures)
         assert [f.outcome() for f in futures[:5]] == ["committed"] * 5
         assert futures[5].outcome() == "aborted"
+
+    def test_synced_batch_acknowledges_commits_before_aborts(self):
+        # The group-commit record's order: commits, then aborts, each in
+        # decision order.  WSI semantics: pin the engine for the abort.
+        rf = ReplicatedFrontend(num_hosts=2, max_batch=100, engine="oracle")
+        t = [rf.begin() for _ in range(4)]
+        futures = [
+            rf.submit_abort(t[0]),
+            rf.submit_commit(req(t[1], writes={"x"})),
+            rf.submit_commit(req(t[2], writes={"z"}, reads={"x"})),  # rw-conflict
+            rf.submit_commit(req(t[3], writes={"y"})),
+        ]
+        acked = []
+        for future in futures:
+            future.add_done_callback(lambda f: acked.append(f.start_ts))
+        rf.flush()
+        assert acked == [t[1], t[3], t[0], t[2]]
 
     def test_read_only_fast_path_resolves_immediately(self):
         rf = ReplicatedFrontend(num_hosts=2)
@@ -113,7 +133,7 @@ class TestCrashMidOpenBatch:
         assert not f1.done and not f2.done
         rf.kill_active()
         assert rf.retried_requests == 2
-        assert f1.retries == 1 and f2.retries == 1
+        assert rf.retries == {f1.start_ts: 1, f2.start_ts: 1}
         rf.flush()
         assert f1.outcome() == "committed" and f2.outcome() == "committed"
         # the retried decisions are durable on the *new* leader
@@ -131,15 +151,17 @@ class TestCrashMidOpenBatch:
         for future in futures:
             future.outcome()  # never raises DecisionPending
 
-    def test_flushed_but_unsynced_batch_is_retried(self):
+    def test_flushed_batch_leaves_nothing_to_retry(self):
+        # Flushed means durable: a crash right after the leader's own
+        # flush finds no buffered record to drop and nothing to retry.
         rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
         future = rf.submit_commit(req(rf.begin(), writes={"x"}))
-        rf.active_frontend.flush()  # decided; record buffered in the WAL
-        assert not future.done
-        rf.kill_active()  # drop_pending eats the record
-        assert rf.retried_requests == 1
-        rf.flush()
-        assert future.outcome() == "committed"
+        rf.active_frontend.flush()
+        assert future.done
+        rf.kill_active()
+        assert rf.retried_requests == 0 and rf.retries == {}
+        table = rf.active_host().oracle.commit_table
+        assert table.commit_timestamp(future.start_ts) == future.commit_ts
 
     def test_durable_requests_never_retried(self):
         rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
@@ -170,6 +192,25 @@ class TestCrashMidOpenBatch:
         assert f2.outcome() == "aborted"
         assert f2.result().reason == "rw-conflict"
         assert f3.outcome() == "committed"
+
+    def test_direct_leader_crash_moves_the_tier_to_the_successor(self):
+        # The cached leader frontend follows the election even when the
+        # serving host dies outside kill_active.
+        rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
+        rf.active_host().crash()
+        assert rf.active_frontend is rf.active_host().frontend
+        future = rf.submit_commit(req(rf.begin(), writes={"x"}))
+        rf.flush()
+        assert future.outcome() == "committed"
+
+    def test_direct_crash_of_the_last_host_refuses_traffic(self):
+        rf = ReplicatedFrontend(num_hosts=1, max_batch=100)
+        rf.hosts[0].crash()
+        assert rf.inflight_count == 0
+        with pytest.raises(OracleClosed):
+            rf.begin()
+        with pytest.raises(OracleClosed):
+            rf.submit_commit(req(1, writes={"x"}))
 
     def test_crashed_requests_counted_on_victim(self):
         rf = ReplicatedFrontend(num_hosts=2, max_batch=100)
@@ -223,18 +264,23 @@ class TestWarmStandby:
         rf = ReplicatedFrontend(
             num_hosts=2, warm=True, max_batch=4, engine="oracle"
         )
-        self._load(rf, 12, "pre")
-        caught_up = rf.standby_catch_up()
-        assert caught_up > 0
-        self._load(rf, 4, "post")  # durable but not yet tailed
+        standby = rf.hosts[1]
+        self._load(rf, 12, "pre")  # every sync tailed by the tier
+        tailed = standby.standby_records
+        assert tailed > 0 and standby.standby_lag == 0
+        # A sync the tier never saw (the leader frontend flushed behind
+        # its back) is durable but not yet tailed: the takeover delta.
+        leader = rf.active_frontend
+        for i in range(3):
+            leader.submit_commit(req(rf.begin(), writes={f"post{i}"}))
+        leader.flush()
         rf.kill_active()
-        host = rf.active_host()
-        assert host.standby_records == caught_up
-        assert 0 < host.recovered_records < caught_up + host.recovered_records
-        rf.flush()
-        oracle = host.oracle
+        assert rf.active_host() is standby
+        assert standby.standby_records == tailed
+        assert standby.recovered_records == 1
+        oracle = standby.oracle
         assert oracle.last_commit("pre0") is not None
-        assert oracle.last_commit("post3") is not None
+        assert oracle.last_commit("post2") is not None
 
     def test_cold_takeover_replays_everything(self):
         rf = ReplicatedFrontend(num_hosts=2, warm=False, max_batch=4)
@@ -248,7 +294,9 @@ class TestWarmStandby:
     def test_standby_lag_visible(self):
         rf = ReplicatedFrontend(num_hosts=2, warm=True, max_batch=4)
         standby = rf.hosts[1]
-        self._load(rf, 8, "a")
+        leader = rf.active_frontend
+        for i in range(8):  # two synced batches, behind the tier's back
+            leader.submit_commit(req(rf.begin(), writes={f"a{i}"}))
         assert standby.standby_lag > 0
         rf.standby_catch_up()
         assert standby.standby_lag == 0
@@ -283,7 +331,8 @@ class TestWarmStandby:
         live, dead = rf.hosts[1], rf.hosts[2]
         dead.crash()
         self._load(rf, 40, "r")
-        assert rf.standby_catch_up() == live.standby_records > 0
+        assert live.standby_records > 0 and live.standby_lag == 0
+        assert rf.standby_catch_up() == 0  # the tier tailed every sync
         assert dead.catch_up() == 0
         assert dead.standby_records == 0 and dead.standby_lag == 0
 
@@ -316,6 +365,24 @@ class TestRetryPolicy:
         rf.kill_active()
         assert slept == [policy.delay_for(1), policy.delay_for(2)]
         assert rf.backoff_seconds == pytest.approx(sum(slept))
+
+    def test_retry_count_carries_over_to_the_next_failover(self):
+        rf = ReplicatedFrontend(
+            num_hosts=4,
+            max_batch=100,
+            retry_policy=RetryPolicy(max_attempts=5, base_delay=0.001),
+        )
+        stuck = rf.submit_commit(req(rf.begin(), writes={"x"}))
+        rf.kill_active()
+        fresh = rf.submit_commit(req(rf.begin(), writes={"y"}))
+        rf.kill_active()
+        # only the requests this failover moved are counted, each with
+        # every resubmission it has had so far
+        assert rf.retries == {stuck.start_ts: 2, fresh.start_ts: 1}
+        assert rf.retried_requests == 3
+        rf.flush()
+        assert rf.retries == {stuck.start_ts: 2, fresh.start_ts: 1}
+        assert stuck.outcome() == fresh.outcome() == "committed"
 
     def test_all_hosts_down_fails_inflight(self):
         rf = ReplicatedFrontend(num_hosts=1, max_batch=100)
