@@ -20,30 +20,28 @@ measurements — the absolute numbers wobble with machine noise, the
 paired ratios do not.
 """
 
-import os
+import statistics
 
 import pytest
 
 from repro.bench import format_table
-from repro.bench.snapshot import record
+from repro.bench.snapshot import SMOKE, record
 from repro.bench.frontend_bench import (
     bench_batched,
     bench_unbatched,
     make_specs,
-    median_speedup,
-    paired_speedups,
+    paired_ratios,
+    run_batched,
+    run_unbatched,
     speedup,
     sweep_batch_sizes,
 )
 
 BATCH_SIZES = (8, 32, 128)
 
-# ``make bench-smoke`` (REPRO_BENCH_SMOKE=1): tiny sizes, relaxed bar —
-# a fast perf sanity check, not the acceptance measurement.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NUM_REQUESTS = 5_000 if SMOKE else 30_000
 PAIRS = 2 if SMOKE else 5
-#: best-of-REPEATS per pair side (see ``paired_speedups``): on a shared
+#: best-of-REPEATS per pair side (see ``paired_ratios``): on a shared
 #: box a co-scheduled burst can sink one side of a pair and drag the
 #: median under the bar even though the true ratio clears it.
 REPEATS = 1 if SMOKE else 3
@@ -57,20 +55,20 @@ SPEEDUP_BAR = 2.5 if SMOKE else 2.5
 
 @pytest.mark.figure("e17")
 def test_e17_group_commit_speedup(benchmark, print_header):
+    specs = make_specs(NUM_REQUESTS)
     ratios = benchmark.pedantic(
-        lambda: paired_speedups(
-            level="wsi",
-            batch_size=32,
+        lambda: paired_ratios(
+            lambda: run_unbatched("wsi", specs, durable_acks=True),
+            lambda: run_batched("wsi", specs, batch_size=32),
             pairs=PAIRS,
-            num_requests=NUM_REQUESTS,
             repeats=REPEATS,
         ),
         rounds=1,
         iterations=1,
     )
+    median = statistics.median(ratios)
     print_header("E17 — group-commit frontend vs unbatched oracle (wall clock)")
 
-    specs = make_specs(NUM_REQUESTS)
     rows = []
     for level in ("si", "wsi"):
         rows.append(
@@ -97,14 +95,14 @@ def test_e17_group_commit_speedup(benchmark, print_header):
     print("paired WSI speedups at batch 32 (vs per-record durability):")
     print("  " + "  ".join(f"{r:.2f}x" for r in ratios))
     print(
-        f"  median: {median_speedup(ratios):.2f}x "
+        f"  median: {median:.2f}x "
         f"(acceptance bar: {SPEEDUP_BAR}x)"
     )
 
     # Acceptance: batched frontend >= 2.5x the unbatched oracle at batch 32
     # (WSI, uniform workload), median of paired runs.
-    assert median_speedup(ratios) >= SPEEDUP_BAR
-    record("e17", median_speedup=median_speedup(ratios), bar=SPEEDUP_BAR)
+    assert median >= SPEEDUP_BAR
+    record("e17", median_speedup=median, bar=SPEEDUP_BAR)
 
 
 @pytest.mark.figure("e17")

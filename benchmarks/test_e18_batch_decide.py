@@ -31,21 +31,20 @@ Set ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` target) for a
 tiny-sized sanity run with correspondingly relaxed bars.
 """
 
-import os
+import statistics
 
 import pytest
 
 from repro.bench import format_table
-from repro.bench.snapshot import record
+from repro.bench.snapshot import SMOKE, record
 from repro.bench.frontend_bench import (
     bench_batched,
     make_specs,
-    median_speedup,
-    paired_decide_speedups,
+    paired_ratios,
+    run_batched,
     sweep_batch_partitions,
 )
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NUM_REQUESTS = 5_000 if SMOKE else 30_000
 PAIRS = 2 if SMOKE else 5
 REPEATS = 1 if SMOKE else 2
@@ -58,16 +57,20 @@ PARTITION_COUNTS = (0, 2, 4) if SMOKE else (0, 2, 4, 8)
 
 @pytest.mark.figure("e18")
 def test_e18_batch_decide_speedup(benchmark, print_header):
+    specs = make_specs(NUM_REQUESTS)
     ratios = benchmark.pedantic(
-        lambda: paired_decide_speedups(
-            level="wsi", batch_size=32, pairs=PAIRS, num_requests=NUM_REQUESTS
+        lambda: paired_ratios(
+            lambda: run_batched("wsi", specs, batch_size=32, per_request=True),
+            lambda: run_batched("wsi", specs, batch_size=32),
+            pairs=PAIRS,
+            repeats=1,
         ),
         rounds=1,
         iterations=1,
     )
+    median = statistics.median(ratios)
     print_header("E18 — decide_batch vs per-request frontend (wall clock)")
 
-    specs = make_specs(NUM_REQUESTS)
     rows = []
     for level in ("si", "wsi"):
         for batch_size in BATCH_SIZES:
@@ -96,14 +99,14 @@ def test_e18_batch_decide_speedup(benchmark, print_header):
     print("paired WSI speedups at batch 32 (decide_batch vs per-request):")
     print("  " + "  ".join(f"{r:.2f}x" for r in ratios))
     print(
-        f"  median: {median_speedup(ratios):.2f}x "
+        f"  median: {median:.2f}x "
         f"(acceptance bar: {SPEEDUP_BAR}x)"
     )
 
     # Acceptance: batch-decide >= 1.5x the per-request frontend at batch
     # 32 (WSI, uniform workload), median of paired runs.
-    assert median_speedup(ratios) >= SPEEDUP_BAR
-    record("e18", median_speedup=median_speedup(ratios), bar=SPEEDUP_BAR)
+    assert median >= SPEEDUP_BAR
+    record("e18", median_speedup=median, bar=SPEEDUP_BAR)
 
 
 @pytest.mark.figure("e18")

@@ -17,18 +17,16 @@ Set ``REPRO_BENCH_SMOKE=1`` for a tiny-sized run; the bars are
 fractions of decisions, so they hold at either size.
 """
 
-import os
-
 import pytest
 
 from repro.bench import format_table
+from repro.bench.snapshot import SMOKE
 from repro.core.partitioned import PartitionedOracle
 from repro.core.sharding import DirectorySharding, HashSharding, RangeSharding
 from repro.server import OracleFrontend
 from repro.wal.bookkeeper import BookKeeperWAL
 from repro.workload.ycsb import ycsb
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 PARTITIONS = 4
 
 #: group-local workload shape.

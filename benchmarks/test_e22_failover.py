@@ -21,17 +21,13 @@ Set ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` target) for a
 tiny-sized sanity run with correspondingly relaxed bars.
 """
 
-import os
-
 import pytest
 
 from repro.bench import format_table
-from repro.bench.snapshot import record
+from repro.bench.snapshot import SMOKE, record
 from repro.core.status_oracle import CommitRequest
 from repro.server import ReplicatedFrontend, ReplicatedOracleFacade
 from repro.sim.frontend_sim import GroupCommitSim
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Failover leg: durable WAL records before the leader dies.
 WAL_RECORDS = 2_000 if SMOKE else 12_000

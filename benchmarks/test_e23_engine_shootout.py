@@ -34,28 +34,28 @@ Set ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` target) for a
 tiny-sized sanity run with correspondingly relaxed bars.
 """
 
-import os
+import statistics
 
 import pytest
 
 from repro.bench import format_table
-from repro.bench.snapshot import record
+from repro.bench.snapshot import SMOKE, record
 from repro.bench.frontend_bench import (
     bench_engine,
     make_specs,
-    median_speedup,
-    paired_engine_speedups,
+    paired_ratios,
+    run_engine,
 )
 from repro.core.engine import ENGINE_KINDS
 from repro.workload.tpcc import TPCCWorkload
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NUM_REQUESTS = 4_000 if SMOKE else 30_000
 PAIRS = 2 if SMOKE else 5
 #: best-of-REPEATS per pair side: machine noise is one-sided, and on a
 #: shared box a single co-scheduled burst can halve one side of a pair;
-#: three runs per side keeps the medians clear of the bar.
-REPEATS = 1 if SMOKE else 3
+#: three runs per side (two at smoke size) keep the medians clear of the
+#: bar.
+REPEATS = 2 if SMOKE else 3
 #: tiny smoke runs are noisy; the full run must clear the real bar.
 SPEEDUP_BAR = 1.1 if SMOKE else 1.5
 BATCH = 32
@@ -72,8 +72,11 @@ def test_e23_per_engine_batch_speedup(benchmark, print_header):
     specs = make_specs(NUM_REQUESTS)
     ratios = benchmark.pedantic(
         lambda: {
-            kind: paired_engine_speedups(
-                kind, specs, batch_size=BATCH, pairs=PAIRS
+            kind: paired_ratios(
+                lambda: run_engine(kind, specs, BATCH, per_request=True),
+                lambda: run_engine(kind, specs, BATCH),
+                pairs=PAIRS,
+                repeats=REPEATS,
             )
             for kind in ENGINE_KINDS
         },
@@ -84,7 +87,7 @@ def test_e23_per_engine_batch_speedup(benchmark, print_header):
         "E23 — batched vs per-request flush, every commit engine "
         "(wall clock)"
     )
-    medians = {kind: median_speedup(ratios[kind]) for kind in ENGINE_KINDS}
+    medians = {kind: statistics.median(ratios[kind]) for kind in ENGINE_KINDS}
     print(
         format_table(
             ["engine", "paired ratios", "median", "bar"],

@@ -10,20 +10,12 @@ Public surface:
   by every figure benchmark.
 * :func:`collector_share` — the cyclic collector's seconds per
   generation, and the tracked objects left behind, over a timed window.
+
+The wall-clock E17–E24 microbenches live in
+:mod:`repro.bench.frontend_bench`, imported by name and not re-exported
+here, so importing the reporting helpers does not load the serving stack.
 """
 
-from repro.bench.frontend_bench import (
-    FrontendBenchResult,
-    bench_batched,
-    bench_unbatched,
-    median_speedup,
-    paired_decide_speedups,
-    paired_speedups,
-    profile_frontend,
-    speedup,
-    sweep_batch_partitions,
-    sweep_batch_sizes,
-)
 from repro.bench.harness import HarnessResult, run_interleaved, run_sequential
 from repro.bench.plots import AsciiChart, abort_rate_chart, latency_throughput_chart
 from repro.bench.reporting import (
@@ -41,16 +33,6 @@ __all__ = [
     "run_interleaved",
     "run_sequential",
     "HarnessResult",
-    "FrontendBenchResult",
-    "bench_unbatched",
-    "bench_batched",
-    "paired_speedups",
-    "paired_decide_speedups",
-    "median_speedup",
-    "speedup",
-    "sweep_batch_sizes",
-    "sweep_batch_partitions",
-    "profile_frontend",
     "AsciiChart",
     "latency_throughput_chart",
     "abort_rate_chart",

@@ -1,41 +1,47 @@
-"""Wall-clock microbench: unbatched oracle vs. the group-commit frontend.
+"""Wall-clock microbenches of the serving stack's amortizations (E17–E24).
 
-Unlike :mod:`repro.sim` (which measures *simulated* time), this harness
-measures real CPU throughput of the conflict-detection + WAL path — the
-thing the frontend's batching is supposed to speed up.  Benchmark E17
-(``benchmarks/test_e17_group_commit.py``) sweeps batch sizes with it.
+Unlike :mod:`repro.sim` (which measures *simulated* time), this module
+measures real CPU throughput.  Each ``run_*`` function is one *timed
+body*: it builds a fresh stack, prepares its inputs outside the clock
+(start timestamps and commit requests are pre-drawn), runs
+``gc.collect()``, times only the path under test and returns
+``(seconds, *state)``:
 
-Two unbatched baselines are distinguished:
+* :func:`run_unbatched` — one ``oracle.commit()`` per request;
+* :func:`run_batched` — the same requests through an
+  :class:`~repro.server.OracleFrontend`: one critical section and one
+  group-commit WAL record per batch;
+* :func:`run_engine` — one commit engine behind the frontend;
+* :func:`run_begins` — a begin-heavy loop at one begin-lease size;
+* :func:`run_lastcommit` — warmed scan-heavy batch decide over one
+  lastCommit backend.
 
-* ``durable_acks=True`` — the truly unbatched oracle: one WAL append
-  *and one replicated ledger write* per decision, i.e. no group commit
-  at any layer.  This is the configuration the frontend replaces and the
-  one the ≥3x acceptance bar is measured against.
-* ``durable_acks=False`` — the seed default, where the oracle still
-  appends one WAL record per decision but the WAL's Appendix-A size
-  trigger batches records into 1 KB ledger entries underneath.
+Every speedup bar is measured by one protocol, :func:`paired_ratios`:
+per pair, the baseline body's best of ``repeats`` runs, then the
+candidate's, and the ratio baseline/candidate; the bar is on the median
+of the pairs.  A slow machine phase hits both sides of a pair roughly
+equally, so the ratios are far more stable than the absolute numbers;
+and noise is one-sided (contention only ever slows a run down), so the
+minimum over repeats (:func:`best_of`) is the least-biased estimate of a
+side's cost.  The ``bench_*`` functions report one configuration's
+best-of throughput as a table row.
 
-Methodology notes, learned the hard way:
-
-* start timestamps and commit requests are prepared *outside* the timed
-  region, so both sides time exactly the commit-decision path (§6.3's
-  critical section plus WAL work);
-* ``gc.collect()`` runs before each timed region, and speedup claims use
-  *paired* measurements (baseline and batched back-to-back, median of
-  the per-pair ratios) — allocator drift and noisy-neighbour phases
-  otherwise dominate the effect being measured;
-* each configuration reports the best of ``repeats`` runs (the minimum
-  is the least-noise estimate).
+E17 distinguishes two unbatched baselines: ``durable_acks=True`` is the
+truly unbatched oracle — one WAL append *and one replicated ledger
+write* per decision, no group commit at any layer, the configuration
+E17's bar is measured against; ``durable_acks=False`` is the seed
+default, whose WAL's Appendix-A size trigger batches records into 1 KB
+ledger entries underneath.
 """
 
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MethodType
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from repro.bench.reporting import collector_share
 from repro.core.engine import CommitEngine, make_engine
@@ -105,7 +111,34 @@ def sequential_decide(backend):
     return backend
 
 
-def _run_unbatched(level: str, specs, durable_acks: bool, partitions: int):
+def best_of(run: Callable[[], tuple], repeats: int) -> tuple:
+    """The fastest of ``repeats`` calls to the timed body ``run`` (the
+    first, on a tie), whose result leads with its elapsed seconds."""
+    return min((run() for _ in range(repeats)), key=itemgetter(0))
+
+
+def paired_ratios(
+    baseline: Callable[[], tuple],
+    candidate: Callable[[], tuple],
+    pairs: int,
+    repeats: int,
+) -> List[float]:
+    """``pairs`` back-to-back measurements of two timed bodies: per pair,
+    the baseline's :func:`best_of` ``repeats`` runs, then the
+    candidate's, and their time ratio baseline/candidate (above 1 when
+    the candidate is faster).  The median of the ratios is the
+    speedup."""
+    return [
+        best_of(baseline, repeats)[0] / best_of(candidate, repeats)[0]
+        for _ in range(pairs)
+    ]
+
+
+def run_unbatched(
+    level: str, specs, durable_acks: bool = False, partitions: int = 0
+):
+    """Timed body: one ``oracle.commit()`` per request.
+    Returns ``(seconds, oracle, wal)``."""
     if partitions:
         oracle = PartitionedOracle(level=level, num_partitions=partitions)
         wal = None
@@ -124,19 +157,22 @@ def _run_unbatched(level: str, specs, durable_acks: bool, partitions: int):
     return dt, oracle, wal
 
 
-def _run_batched(
+def run_batched(
     level: str,
     specs,
-    batch_size: int,
-    partitions: int,
-    use_futures: bool,
+    batch_size: int = 32,
+    partitions: int = 0,
+    use_futures: bool = False,
     per_request: bool = False,
     begin_lease: int = 1,
 ):
-    # The per-request side's backend gets no WAL of its own (see
-    # sequential_decide): both modes then persist the identical
-    # one-group-record-per-batch stream, so the measured delta is purely
-    # the decision loop — per-request calls vs decide_batch.
+    """Timed body: every request through an :class:`OracleFrontend`,
+    ending with its last flush.  Returns ``(seconds, oracle, wal)``.
+
+    The per-request side's backend gets no WAL of its own (see
+    :func:`sequential_decide`): both modes then persist the identical
+    one-group-record-per-batch stream, so the measured delta is purely
+    the decision loop — per-request calls vs ``decide_batch``."""
     wal = BookKeeperWAL()
     if partitions:
         oracle = PartitionedOracle(level=level, num_partitions=partitions)
@@ -167,12 +203,9 @@ def bench_unbatched(
 ) -> FrontendBenchResult:
     """One ``oracle.commit()`` per request (see module docstring for the
     ``durable_acks`` baseline distinction)."""
-    best = None
-    for _ in range(repeats):
-        run = _run_unbatched(level, specs, durable_acks, partitions)
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle, wal = best
+    dt, oracle, wal = best_of(
+        lambda: run_unbatched(level, specs, durable_acks, partitions), repeats
+    )
     return FrontendBenchResult(
         level=level,
         mode="unbatched-durable" if durable_acks else "unbatched",
@@ -209,15 +242,13 @@ def bench_batched(
     decisions are identical at any lease size (benchmark E20's equality
     leg pins this).
     """
-    best = None
-    for _ in range(repeats):
-        run = _run_batched(
+    dt, oracle, wal = best_of(
+        lambda: run_batched(
             level, specs, batch_size, partitions, use_futures, per_request,
             begin_lease,
-        )
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle, wal = best
+        ),
+        repeats,
+    )
     if per_request:
         mode = "batched-per-request"
     elif use_futures:
@@ -237,70 +268,6 @@ def bench_batched(
     )
 
 
-def paired_speedups(
-    level: str = "wsi",
-    batch_size: int = 32,
-    pairs: int = 5,
-    num_requests: int = DEFAULT_NUM_REQUESTS,
-    keyspace: int = DEFAULT_KEYSPACE,
-    seed: int = 42,
-    use_futures: bool = False,
-    durable_acks: bool = True,
-    repeats: int = 1,
-) -> List[float]:
-    """Back-to-back (unbatched, batched) measurement pairs.
-
-    Returns one throughput ratio per pair; take the median for a
-    noise-robust speedup estimate (a shared-machine slow phase hits both
-    sides of a pair roughly equally, so ratios are far more stable than
-    the absolute numbers).  Each side of a pair is the best of
-    ``repeats`` runs — noise is one-sided (contention only ever slows a
-    run down), so the minimum is the least-biased estimate and a single
-    co-scheduled burst cannot sink one side of a pair.
-    """
-    specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
-    ratios = []
-    for _ in range(pairs):
-        dt_u = min(
-            _run_unbatched(level, specs, durable_acks, 0)[0]
-            for _ in range(repeats)
-        )
-        dt_b = min(
-            _run_batched(level, specs, batch_size, 0, use_futures)[0]
-            for _ in range(repeats)
-        )
-        ratios.append(dt_u / dt_b)
-    return ratios
-
-
-def paired_decide_speedups(
-    level: str = "wsi",
-    batch_size: int = 32,
-    pairs: int = 5,
-    num_requests: int = DEFAULT_NUM_REQUESTS,
-    keyspace: int = DEFAULT_KEYSPACE,
-    seed: int = 42,
-) -> List[float]:
-    """Back-to-back (per-request frontend, batch-decide frontend) pairs.
-
-    Benchmark E18's measurement: both sides batch identically at the WAL
-    layer (one group record per ``batch_size`` requests), so each ratio
-    isolates the decision loop itself — per-request ``commit()`` calls
-    inside the critical section vs one ``decide_batch`` bulk pass.
-    """
-    specs = make_specs(num_requests, keyspace=keyspace, seed=seed)
-    ratios = []
-    for _ in range(pairs):
-        dt_p, _, _ = _run_batched(level, specs, batch_size, 0, False, True)
-        dt_b, _, _ = _run_batched(level, specs, batch_size, 0, False, False)
-        ratios.append(dt_p / dt_b)
-    return ratios
-
-
-def median_speedup(ratios: Sequence[float]) -> float:
-    return statistics.median(ratios)
-
-
 def sweep_batch_sizes(
     level: str,
     batch_sizes: Sequence[int] = (8, 32, 128),
@@ -308,8 +275,6 @@ def sweep_batch_sizes(
     keyspace: int = DEFAULT_KEYSPACE,
     seed: int = 42,
     repeats: int = DEFAULT_REPEATS,
-    partitions: int = 0,
-    use_futures: bool = False,
 ) -> List[FrontendBenchResult]:
     """Unbatched baseline plus one batched run per batch size.
 
@@ -328,22 +293,12 @@ def sweep_batch_sizes(
             best[key] = result
 
     def baseline_run():
-        keep(None, bench_unbatched(level, specs, repeats=1, partitions=partitions))
+        keep(None, bench_unbatched(level, specs, repeats=1))
 
     for _ in range(repeats):
         baseline_run()
         for b in batch_sizes:
-            keep(
-                b,
-                bench_batched(
-                    level,
-                    specs,
-                    batch_size=b,
-                    repeats=1,
-                    partitions=partitions,
-                    use_futures=use_futures,
-                ),
-            )
+            keep(b, bench_batched(level, specs, batch_size=b, repeats=1))
     baseline_run()
     return [best[None]] + [best[b] for b in batch_sizes]
 
@@ -396,8 +351,11 @@ def sweep_batch_partitions(
 # engine benchmarks (E23): three commit protocols behind one frontend
 # ----------------------------------------------------------------------
 
-def _run_engine(engine, specs, batch_size, per_request):
-    """One engine run through the common frontend.
+def run_engine(
+    engine: str, specs, batch_size: int = 32, per_request: bool = False
+):
+    """Timed body: one engine run through the common frontend.
+    Returns ``(seconds, backend, wal)``.
 
     WAL placement follows the E18 methodology: the batched side attaches
     the WAL to the engine, the per-request side
@@ -406,7 +364,7 @@ def _run_engine(engine, specs, batch_size, per_request):
     isolates the engine's ``_decide_batch`` bulk pass against its
     sequential ``commit()`` loop.
 
-    Unlike :func:`_run_batched`, begins interleave with submissions
+    Unlike :func:`run_batched`, begins interleave with submissions
     window by window (each flush-sized window of requests begins right
     before it is submitted, so at most one open batch of transactions
     is active at a time).  The interleave is what keeps the SSI
@@ -452,12 +410,9 @@ def bench_engine(
     """Best-of-``repeats`` throughput of one commit engine — batched
     (``_decide_batch`` bulk pass) or per-request (sequential
     ``commit()`` calls inside the flush loop, E18's baseline shape)."""
-    best = None
-    for _ in range(repeats):
-        run = _run_engine(engine, specs, batch_size, per_request)
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, backend, wal = best
+    dt, backend, wal = best_of(
+        lambda: run_engine(engine, specs, batch_size, per_request), repeats
+    )
     return FrontendBenchResult(
         level=backend.level,
         mode="engine-per-request" if per_request else "engine-batched",
@@ -468,39 +423,6 @@ def bench_engine(
         wal_records=wal.record_count,
         wal_ledger_entries=wal.flush_count,
     )
-
-
-def paired_engine_speedups(
-    engine: str,
-    specs: Sequence[TransactionSpec],
-    batch_size: int = 32,
-    pairs: int = 5,
-    repeats: int = 2,
-) -> List[float]:
-    """Back-to-back (per-request, batched) pairs for one engine.
-
-    Benchmark E23's per-engine measurement: both sides run the same
-    frontend over the same pre-drawn specs with identical WAL batching;
-    the ratio isolates what the engine's ``_decide_batch`` buys over
-    its sequential decision loop.  Each side of a pair is the best of
-    ``repeats`` runs (machine noise is one-sided — contention only ever
-    slows a run down — so the minimum is the least-biased estimate of
-    the true cost, the same estimator :func:`bench_engine` uses), and
-    the median of the pair ratios is the reported speedup (the E17–E20
-    protocol).
-    """
-    ratios = []
-    for _ in range(pairs):
-        dt_p = min(
-            _run_engine(engine, specs, batch_size, True)[0]
-            for _ in range(repeats)
-        )
-        dt_b = min(
-            _run_engine(engine, specs, batch_size, False)[0]
-            for _ in range(repeats)
-        )
-        ratios.append(dt_p / dt_b)
-    return ratios
 
 
 # ----------------------------------------------------------------------
@@ -543,25 +465,19 @@ class BeginBenchResult:
         )
 
 
-def _run_begins(
+def run_begins(
     level: str,
     num_begins: int,
-    begin_lease: int,
+    begin_lease: int = 1,
     commit_every: int = 0,
-    partitions: int = 0,
     specs: Sequence[TransactionSpec] = (),
 ):
-    """Time a begin-heavy loop: ``num_begins`` begins, optionally one
-    commit submission per ``commit_every`` begins (pre-drawn specs keep
-    request generation outside any per-iteration cost asymmetry)."""
-    if partitions:
-        oracle = PartitionedOracle(level=level, num_partitions=partitions)
-        frontend = OracleFrontend(
-            oracle, max_batch=32, wal=BookKeeperWAL(), begin_lease=begin_lease
-        )
-    else:
-        oracle = make_oracle(level, wal=BookKeeperWAL())
-        frontend = OracleFrontend(oracle, max_batch=32, begin_lease=begin_lease)
+    """Timed body: a begin-heavy loop of ``num_begins`` begins,
+    optionally one commit submission per ``commit_every`` begins
+    (pre-drawn specs keep request generation outside any per-iteration
+    cost asymmetry).  Returns ``(seconds, oracle, frontend)``."""
+    oracle = make_oracle(level, wal=BookKeeperWAL())
+    frontend = OracleFrontend(oracle, max_batch=32, begin_lease=begin_lease)
     begin = frontend.begin
     submit = frontend.submit_commit_nowait
     gc.collect()
@@ -589,20 +505,15 @@ def bench_begins(
     begin_lease: int = 1,
     repeats: int = DEFAULT_REPEATS,
     commit_every: int = 0,
-    partitions: int = 0,
 ) -> BeginBenchResult:
     """Best-of-``repeats`` begin throughput for one lease size."""
     specs = (
         make_specs(num_begins // commit_every + 1) if commit_every else ()
     )
-    best = None
-    for _ in range(repeats):
-        run = _run_begins(
-            level, num_begins, begin_lease, commit_every, partitions, specs
-        )
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle, frontend = best
+    dt, oracle, frontend = best_of(
+        lambda: run_begins(level, num_begins, begin_lease, commit_every, specs),
+        repeats,
+    )
     return BeginBenchResult(
         level=level,
         begin_lease=begin_lease,
@@ -614,37 +525,6 @@ def bench_begins(
         aborts=oracle.stats.aborts,
         unserved_lease=frontend.begin_lease_remaining,
     )
-
-
-def paired_begin_speedups(
-    level: str = "wsi",
-    begin_lease: int = 32,
-    pairs: int = 5,
-    num_begins: int = 200_000,
-    commit_every: int = 0,
-) -> List[float]:
-    """Back-to-back (per-call begin, leased begin) measurement pairs.
-
-    Benchmark E20's measurement, following the E17/E18 protocol: both
-    sides run the identical frontend loop over the same begin-heavy
-    workload; the baseline serves every begin through
-    ``backend.begin()`` (one critical-section round-trip each), the
-    leased side refills a local block once per ``begin_lease`` begins.
-    Median of the per-pair ratios is the noise-robust speedup.
-    """
-    specs = (
-        make_specs(num_begins // commit_every + 1) if commit_every else ()
-    )
-    ratios = []
-    for _ in range(pairs):
-        dt_per_call, _, _ = _run_begins(
-            level, num_begins, 1, commit_every, 0, specs
-        )
-        dt_leased, _, _ = _run_begins(
-            level, num_begins, begin_lease, commit_every, 0, specs
-        )
-        ratios.append(dt_per_call / dt_leased)
-    return ratios
 
 
 def sweep_begin_lease(
@@ -681,7 +561,7 @@ def profile_frontend(
     specs = make_specs(num_requests)
     profiler = cProfile.Profile()
     profiler.enable()
-    _run_batched(level, specs, batch_size, 0, False)
+    run_batched(level, specs, batch_size)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
@@ -801,7 +681,12 @@ def _warmed_oracle(level: str, kind: str, keyspace: int):
     return oracle
 
 
-def _run_lastcommit(level, kind, specs, batch_size, keyspace):
+def run_lastcommit(
+    level: str, kind: str, specs, batch_size: int = 128,
+    keyspace: int = E24_KEYSPACE,
+):
+    """Timed body: batch-decide ``specs`` on a warmed oracle over one
+    lastCommit backend (``kind``).  Returns ``(seconds, oracle)``."""
     oracle = _warmed_oracle(level, kind, keyspace)
     begin = oracle.begin
     decide_batch = oracle.decide_batch
@@ -829,12 +714,10 @@ def bench_lastcommit(
     """Batch-decide throughput of one backend on the warmed scan-heavy
     workload (best of ``repeats``; batch construction is timed on both
     sides identically, so ratios still isolate the backend)."""
-    best = None
-    for _ in range(repeats):
-        run = _run_lastcommit(level, kind, specs, batch_size, keyspace)
-        if best is None or run[0] < best[0]:
-            best = run
-    dt, oracle = best
+    dt, oracle = best_of(
+        lambda: run_lastcommit(level, kind, specs, batch_size, keyspace),
+        repeats,
+    )
     warm_commits = (keyspace + E24_WARM_CHUNK - 1) // E24_WARM_CHUNK
     return LastCommitBenchResult(
         level=level,
@@ -844,31 +727,6 @@ def bench_lastcommit(
         commits=oracle.stats.commits - warm_commits,
         aborts=oracle.stats.aborts,
     )
-
-
-def paired_lastcommit_speedups(
-    level: str = "wsi",
-    batch_size: int = 128,
-    pairs: int = 5,
-    num_requests: int = 2_560,
-    keyspace: int = E24_KEYSPACE,
-    read_rows: int = E24_READ_ROWS,
-    seed: int = 42,
-) -> List[float]:
-    """Back-to-back (dict-backed, array-backed) measurement pairs over
-    the identical warmed scan-heavy workload — E24's measurement,
-    following the E17/E18 paired-ratio protocol."""
-    specs = make_scan_specs(
-        num_requests, keyspace=keyspace, read_rows=read_rows, seed=seed
-    )
-    ratios = []
-    for _ in range(pairs):
-        dt_dict, _ = _run_lastcommit(level, "dict", specs, batch_size, keyspace)
-        dt_array, _ = _run_lastcommit(
-            level, "array", specs, batch_size, keyspace
-        )
-        ratios.append(dt_dict / dt_array)
-    return ratios
 
 
 def sweep_lastcommit_batches(
@@ -1036,11 +894,3 @@ if __name__ == "__main__":  # pragma: no cover - `make profile` entry point
         profile_collector()
     elif "--profile" in sys.argv:
         profile_frontend()
-    else:
-        specs = make_specs()
-        for result in (
-            bench_unbatched("wsi", specs),
-            bench_batched("wsi", specs, per_request=True),
-            bench_batched("wsi", specs),
-        ):
-            print(result.as_row())

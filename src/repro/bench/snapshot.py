@@ -34,6 +34,11 @@ from typing import Any, Dict
 #: Environment variable naming the snapshot file (no-op when unset).
 SNAPSHOT_ENV = "REPRO_BENCH_SNAPSHOT"
 
+#: ``REPRO_BENCH_SMOKE=1`` (``make bench-smoke``): the figure benchmarks
+#: run at tiny sizes against relaxed bars — a fast perf sanity check,
+#: not the acceptance measurement.
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+
 
 def snapshot_path() -> str | None:
     path = os.environ.get(SNAPSHOT_ENV)

@@ -718,7 +718,7 @@ class OracleFrontend:
         """Release a flushed batch's admission slots at durability.
 
         When an ``on_flush`` listener sets :attr:`FlushedBatch.durable_event`
-        (the simulator modelling the WAL write), the batch's requests
+        (the simulator's critical-section model), the batch's requests
         stay counted against ``max_queue_depth`` until the integration
         layer calls this — in flight means *not yet durable*, not merely
         *not yet decided*.  No-op when admission control is disabled or

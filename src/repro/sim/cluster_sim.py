@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set
 from repro.core.status_oracle import CommitRequest, StatusOracle, make_oracle
 from repro.hbase.region_server import BlockCache
 from repro.sim.engine import Engine, Resource
-from repro.sim.latency import LatencyModel, paper_latency_model
+from repro.sim.latency import LatencyModel, latency_summary, paper_latency_model
 from repro.workload.generator import TransactionSpec, WorkloadGenerator, mixed_workload
 
 #: paper §6: 25 data servers.
@@ -209,9 +209,7 @@ class ClusterSim:
         horizon = self.warmup + self.measure
         self.engine.run(until=horizon)
         total = self._commits + self._aborts
-        lat_ms = sorted(1000 * x for x in self._latencies)
-        avg = sum(lat_ms) / len(lat_ms) if lat_ms else 0.0
-        p99 = lat_ms[int(0.99 * (len(lat_ms) - 1))] if lat_ms else 0.0
+        avg, p99 = latency_summary(self._latencies)
         hits = sum(s.cache.hits for s in self.servers)
         misses = sum(s.cache.misses for s in self.servers)
         utils = [s.io.utilization() for s in self.servers]

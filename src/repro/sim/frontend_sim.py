@@ -4,9 +4,10 @@ Wires :class:`repro.server.OracleFrontend` into the discrete-event
 engine: the frontend's flush-interval trigger is scheduled with
 ``engine.call_in`` (no polling), client sessions wait on commit futures
 bridged to engine events, and every flushed batch occupies the oracle's
-critical-section resource for the *batch* service time before its single
-WAL write makes it durable — the two amortizations of §6.3/Appendix A,
-in simulated time.
+critical-section resource once for the *batch* service time — §6.3's
+amortization, in simulated time.  The sim's frontends run WAL-less and
+it prices no WAL write: a batch is durable when its critical section
+ends.
 
 This is the timing companion to the wall-clock microbench in
 :mod:`repro.bench.frontend_bench`: that one measures real CPU cost,
@@ -45,7 +46,7 @@ from repro.core.sharding import ShardingPolicy
 from repro.server.frontend import FlushedBatch, FrontendStats, OracleFrontend
 from repro.server.retry import RetryPolicy
 from repro.sim.engine import Engine, Resource
-from repro.sim.latency import LatencyModel, paper_latency_model
+from repro.sim.latency import LatencyModel, latency_summary, paper_latency_model
 from repro.workload.generator import WorkloadGenerator, complex_workload
 
 
@@ -233,7 +234,7 @@ class GroupCommitSim:
         return frontend
 
     # ------------------------------------------------------------------
-    # batch timing: one critical-section occupancy + one WAL write
+    # batch timing: one critical-section occupancy
     # ------------------------------------------------------------------
     def _batch_flushed(self, batch: FlushedBatch, owner: OracleFrontend) -> None:
         batch.durable_event = self.engine.event()
@@ -250,11 +251,10 @@ class GroupCommitSim:
         yield self.critical_section.acquire()
         yield self.engine.timeout(lat.sample(service))
         self.critical_section.release()
-        if batch.wal_written:
-            yield self.engine.timeout(lat.sample(lat.wal_write))
         batch.durable_event.succeed()
-        # In flight spans submit -> durable: only now do the batch's
-        # admission slots free up (no-op when max_queue_depth is None).
+        # In flight spans submit -> durable, here the end of the critical
+        # section: only now do the batch's admission slots free up (no-op
+        # when max_queue_depth is None).
         owner.mark_durable(batch)
 
     # ------------------------------------------------------------------
@@ -376,9 +376,7 @@ class GroupCommitSim:
                 self.engine.process(self._client_stream())
         self.engine.run(until=self.warmup + self.measure)
         total = self._commits + self._aborts
-        lat_ms = sorted(1000 * x for x in self._latencies)
-        avg = sum(lat_ms) / len(lat_ms) if lat_ms else 0.0
-        p99 = lat_ms[int(0.99 * (len(lat_ms) - 1))] if lat_ms else 0.0
+        avg, p99 = latency_summary(self._latencies)
         all_stats = list(self._retired_stats)
         if self.frontend is not None:
             all_stats.append(self.frontend.stats)

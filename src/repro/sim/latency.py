@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 MS = 1e-3
 US = 1e-6
@@ -141,3 +141,12 @@ class LatencyModel:
 def paper_latency_model(seed: Optional[int] = None, jitter: float = 1.0) -> LatencyModel:
     """The default model with the paper's §6.2 numbers."""
     return LatencyModel(seed=seed, jitter=jitter)
+
+
+def latency_summary(latencies: Iterable[float]) -> Tuple[float, float]:
+    """``(avg_ms, p99_ms)`` of latencies in seconds, ``(0.0, 0.0)`` for
+    none: the one latency summary every simulator reports."""
+    lat_ms = sorted(1000 * x for x in latencies)
+    if not lat_ms:
+        return 0.0, 0.0
+    return sum(lat_ms) / len(lat_ms), lat_ms[int(0.99 * (len(lat_ms) - 1))]

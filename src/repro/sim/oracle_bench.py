@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional
 
 from repro.core.status_oracle import StatusOracle, make_oracle
 from repro.sim.engine import Engine, Resource
-from repro.sim.latency import LatencyModel, paper_latency_model
+from repro.sim.latency import LatencyModel, latency_summary, paper_latency_model
 from repro.workload.generator import WorkloadGenerator, complex_workload
 
 #: §6.3: each client keeps 100 transactions outstanding.
@@ -167,10 +167,7 @@ class OracleBenchSim:
         self.engine.run(until=horizon)
         total = self._commits + self._aborts
         elapsed = self.measure
-        lat_ms = [1000 * x for x in self._latencies]
-        lat_ms.sort()
-        avg = sum(lat_ms) / len(lat_ms) if lat_ms else 0.0
-        p99 = lat_ms[int(0.99 * (len(lat_ms) - 1))] if lat_ms else 0.0
+        avg, p99 = latency_summary(self._latencies)
         return OracleBenchResult(
             level=self.level,
             num_clients=self.num_clients,
