@@ -31,7 +31,9 @@ bench:
 	REPRO_BENCH_SNAPSHOT=$${REPRO_BENCH_SNAPSHOT:-BENCH_full.json} $(PYTEST) benchmarks -q -s
 
 ## Fast perf sanity check: the E17-E24 hot-path/HA bars at tiny sizes
-## (REPRO_BENCH_SMOKE relaxes the bars accordingly).  Writes the
+## (REPRO_BENCH_SMOKE relaxes the bars accordingly), plus E21's
+## cross-partition fractions under hash, range and directory placement
+## (the partitioned engine's single/cross tallies).  Writes the
 ## headline ratios per experiment to BENCH_smoke.json (the snapshot is
 ## committed, so behaviour drifts show up as a diff).  Runs in a few
 ## seconds.  `make test-fast` skips every figure benchmark (the
@@ -43,6 +45,7 @@ bench-smoke:
 		benchmarks/test_e17_group_commit.py::test_e17_group_commit_speedup \
 		benchmarks/test_e18_batch_decide.py::test_e18_batch_decide_speedup \
 		benchmarks/test_e20_begin_lease.py::test_e20_begin_lease_speedup \
+		benchmarks/test_e21_sharding_locality.py \
 		benchmarks/test_e22_failover.py \
 		benchmarks/test_e23_engine_shootout.py \
 		benchmarks/test_e24_array_lastcommit.py::test_e24_array_backend_speedup \

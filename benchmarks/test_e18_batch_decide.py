@@ -63,7 +63,7 @@ def test_e18_batch_decide_speedup(benchmark, print_header):
             lambda: run_batched("wsi", specs, batch_size=32, per_request=True),
             lambda: run_batched("wsi", specs, batch_size=32),
             pairs=PAIRS,
-            repeats=1,
+            repeats=REPEATS,
         ),
         rounds=1,
         iterations=1,

@@ -58,7 +58,7 @@ def test_e20_begin_lease_speedup(benchmark, print_header):
             lambda: run_begins("wsi", NUM_BEGINS, begin_lease=1),
             lambda: run_begins("wsi", NUM_BEGINS, begin_lease=32),
             pairs=PAIRS,
-            repeats=1,
+            repeats=REPEATS,
         ),
         rounds=1,
         iterations=1,

@@ -64,7 +64,7 @@ def test_e24_array_backend_speedup(benchmark, print_header):
             lambda: run_lastcommit("wsi", "dict", specs, batch_size=128),
             lambda: run_lastcommit("wsi", "array", specs, batch_size=128),
             pairs=PAIRS,
-            repeats=1,
+            repeats=REPEATS,
         ),
         rounds=1,
         iterations=1,

@@ -32,13 +32,15 @@ and recovery all call these; none of them scans or installs by hand.
     Keys are interned to dense int ids (:class:`~repro.core.keyspace.
     KeyInterner`), timestamps live in a flat ``array('q')`` indexed by
     id, and 0 is the *absent* sentinel (commit timestamps are always
-    >= 1; recovery already treats 0 as "never written").  The scan is
-    one C-level id gather (``itemgetter(*rows)``) plus one C-level
-    timestamp gather plus one ``max(...) > start_ts`` compare — numpy
-    vectorises the int-key case — instead of N interpreted dict
-    probes; the install is the same id gather plus a flat store sweep.
-    Benchmark E24 pins the >= 2x batch-128 speedup; the hypothesis
-    equivalence suites pin array == dict decisions bit-for-bit.
+    >= 1; recovery already treats 0 as "never written").  From
+    :data:`NUMPY_MIN_ROWS` rows up the scan is one gather plus one
+    ``max(...) > start_ts`` compare instead of N interpreted dict
+    probes — numpy vectorises the int-key case, a C-level
+    ``itemgetter`` id + timestamp gather serves the rest; below it, the
+    scan is the same early-stop per-row probe as the dict backend's.
+    The install is one id gather plus a flat store sweep.  Benchmark
+    E24 pins the >= 2x batch-128 speedup; the hypothesis equivalence
+    suites pin array == dict decisions bit-for-bit.
 
 bounded (:class:`BoundedLastCommit`)
     Algorithm 3 (Appendix A): at most ``max_rows`` rows in LRU order
@@ -95,10 +97,13 @@ __all__ = [
 #: Environment variable selecting the default backend (``dict``/``array``).
 LASTCOMMIT_ENV = "REPRO_LASTCOMMIT"
 
-#: Row-set size at which the numpy gather+max beats N itemgetter hops.
-#: Below it the fixed cost of building the index array and the
-#: ``frombuffer`` view dominates; typical read sets (<= ~16 rows) stay
-#: on the pure-python path even when numpy is installed.
+#: Row-set size at which ``ArrayLastCommit.scan_conflict`` switches
+#: from the scalar early-stop probe to a gather (numpy's int lane, or
+#: the itemgetter chain where the lane cannot run).  Below it the fixed
+#: cost of a gather — the index array and ``frombuffer`` view, or the
+#: ``KeyError`` on a never-written row and the rescan after a conflict —
+#: outweighs N interpreted probes; typical read sets and partition
+#: shares (<= ~16 rows) stay on the probe even when numpy is installed.
 NUMPY_MIN_ROWS = 32
 
 
@@ -297,61 +302,62 @@ class ArrayLastCommit(LastCommitStore):
     ) -> Tuple[Optional[Hashable], int]:
         """First conflicting row and rows-examined count, dict-identically.
 
-        Three regimes, fastest first:
+        Three regimes, by row count:
 
-        * **int lane** (numpy present, >= :data:`NUMPY_MIN_ROWS` rows,
-          every interned key an exact int): one ``fromiter`` over the
-          row set, one vectorised slot gather from the interner's int
-          table (0 routes to the reserved always-0 slot), one
-          vectorised timestamp gather + ``max`` — zero per-row Python
-          work.  The gathered max can only over-report (see
-          :mod:`repro.core.keyspace` on checked-key aliasing), so a
-          value above ``start_ts`` is a *suspicion*, not a verdict.
-        * **itemgetter chain**: one C-level id gather + one C-level
-          timestamp gather + one ``max`` — no per-row bytecode, but
-          still a dict probe per row inside the C call.
-        * **scalar probe**: the dict backend's faithful early-stop scan,
-          used as the rescan for any suspected conflict and as the
-          fallback when a row was never interned — so the reported
-          conflict row and the examined count match the dict backend's
-          scan exactly in every case.
+        * **scalar probe** (below :data:`NUMPY_MIN_ROWS` rows): the dict
+          backend's faithful early-stop scan, one id probe and one slot
+          read per row.  On a short row set a gather costs more than it
+          saves: a never-interned row makes it raise, and a conflict
+          pays a full rescan after it.
+        * **int lane** (at or above :data:`NUMPY_MIN_ROWS`, numpy
+          present, every interned key an exact int): one ``fromiter``
+          over the row set, one vectorised slot gather from the
+          interner's int table (0 routes to the reserved always-0
+          slot), one vectorised timestamp gather + ``max`` — zero
+          per-row Python work.  The gathered max can only over-report
+          (see :mod:`repro.core.keyspace` on checked-key aliasing), so
+          a value above ``start_ts`` is a *suspicion*, not a verdict.
+        * **itemgetter chain** (at or above the threshold, when the int
+          lane cannot run: numpy absent, non-int keys, keys beyond the
+          int table): one C-level id gather + one C-level timestamp
+          gather + one ``max`` — no per-row bytecode, but still a dict
+          probe per row inside the C call.
+
+        A gather that finds a suspected conflict, or cannot run because
+        a row was never interned, falls through to the scalar probe —
+        so the reported conflict row and the examined count match the
+        dict backend's scan exactly in every case.
         """
-        rows = tuple(rows) if not isinstance(rows, (tuple, frozenset)) else rows
-        n = len(rows)
-        if n == 0:
-            return None, 0
         interner = self._interner
         ids_map = interner._ids
         ts = self._ts
-        peak = -1  # -1: gather impossible, go scalar
-        try:
-            if n == 1:
-                row = next(iter(rows))
-                kid = ids_map[row]
-                if kid < len(ts) and ts[kid] > start_ts:
-                    return row, 1
-                return None, 1
-            if _np is not None and n >= NUMPY_MIN_ROWS and interner._int_lane:
-                try:
-                    keys_np = _np.fromiter(rows, _np.int64, n)
-                except (TypeError, ValueError, OverflowError):
-                    keys_np = None
-                if keys_np is not None:
-                    table = interner._int_table
-                    if len(table) and int(_np_max(keys_np)) < len(table):
-                        kids_np = _np.frombuffer(table, dtype=_np.int64)[keys_np]
-                        peak = int(
-                            _np_max(_np.frombuffer(ts, dtype=_np.int64)[kids_np])
-                        )
-            if peak < 0:
-                kids = itemgetter(*rows)(ids_map)
-                peak = max(itemgetter(*kids)(ts))
-        except (KeyError, IndexError):
-            # Some row was never interned (or its slot predates the
-            # last grow): no gather possible, probe row by row.
-            peak = -1
-        if 0 <= peak <= start_ts:
-            return None, n
+        n = len(rows)
+        if n >= NUMPY_MIN_ROWS:
+            peak = -1  # -1: no gather ran, probe row by row
+            try:
+                if _np is not None and interner._int_lane:
+                    try:
+                        keys_np = _np.fromiter(rows, _np.int64, n)
+                    except (TypeError, ValueError, OverflowError):
+                        keys_np = None
+                    if keys_np is not None:
+                        table = interner._int_table
+                        if len(table) and int(_np_max(keys_np)) < len(table):
+                            kids_np = _np.frombuffer(table, dtype=_np.int64)[
+                                keys_np
+                            ]
+                            peak = int(_np_max(
+                                _np.frombuffer(ts, dtype=_np.int64)[kids_np]
+                            ))
+                if peak < 0:
+                    kids = itemgetter(*rows)(ids_map)
+                    peak = max(itemgetter(*kids)(ts))
+            except (KeyError, IndexError):
+                # Some row was never interned (or its slot predates the
+                # last grow): no gather possible.
+                peak = -1
+            if 0 <= peak <= start_ts:
+                return None, n
         ids_get = ids_map.get
         examined = 0
         for row in rows:

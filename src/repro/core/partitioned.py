@@ -16,22 +16,29 @@ count; :class:`~repro.core.sharding.RangeSharding` and
 traffic for aligned traffic): every frontend, replica and recovered
 instance must agree on which partition owns a row, which Python's
 salted builtin ``hash()`` cannot guarantee.
-:meth:`~PartitionedOracle.commit` decides one request:
+:meth:`~PartitionedOracle.commit` decides one request on one path:
 
-* a transaction whose footprint touches **one** partition is decided by
-  that partition alone (:meth:`~PartitionedOracle._commit_single`) —
-  the common case the footnote envisions, and the source of the
-  throughput scaling;
-* a **cross-partition** transaction runs a two-phase decision
-  (:meth:`~PartitionedOracle._commit_cross`): every involved partition
-  validates its share of the checked rows with its store's ``scan``
-  hook (:func:`~repro.core.lastcommit.store_hooks`, phase 1); only if
-  *all* shares pass is the commit timestamp assigned
-  and every partition's ``lastCommit`` share installed (phase 2).
-  Because checks precede any update and the commit timestamp is
-  allocated once, the outcome is identical to what a single monolithic
-  oracle would decide — a property the test suite checks by
-  differential execution.
+* **phase 1** routes the checked rows once
+  (:meth:`~PartitionedOracle._split`: one list per partition id) and
+  every involved partition validates its share, in partition-id order,
+  with its store's ``scan`` hook
+  (:func:`~repro.core.lastcommit.store_hooks`); the first conflict
+  aborts the whole request;
+* **phase 2**, only if *all* shares pass, assigns the commit timestamp
+  once and installs every partition's write share.  Under SI the
+  checked shares are the write shares; under WSI the write set is
+  routed only now (an abort routes it only for the tally below).
+
+Because checks precede any update and the commit timestamp is
+allocated once, the outcome is identical to what a single monolithic
+oracle would decide — a property the test suite checks by differential
+execution.  A decision counts as **single-partition** (the common case
+the footnote envisions, and the source of the throughput scaling) when
+its footprint — the checked rows plus the write set — touches one
+partition, and as **cross-partition** otherwise; the tally comes from a
+bitmask of the partitions routing saw, so a conflict routes its write
+set only when its checked rows touched one partition, and stops at the
+first written row placed elsewhere.
 
 A group-commit batch (``decide_batch``, and the frontend's flush) runs
 the default :meth:`~repro.core.engine.CommitEngine._decide_batch` loop:
@@ -46,7 +53,7 @@ either level.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.commit_table import CommitTable
 from repro.core.engine import CommitEngine
@@ -123,7 +130,7 @@ class PartitionedOracle(CommitEngine):
         self._sharding = sharding or HashSharding()
         # Routing fast path: the default hash placement inlines the
         # per-row policy call (stable_hash % n, with small non-negative
-        # ints hashing to themselves) in _split / _single_partition_of.
+        # ints hashing to themselves) in _split.
         self._fast_hash = type(self._sharding) is HashSharding
         # Every partition shares the TSO (one global commit order) and
         # gets its own lastCommit + stats; their private commit tables
@@ -152,29 +159,27 @@ class PartitionedOracle(CommitEngine):
     def partition_of(self, row: RowKey) -> int:
         return self._sharding.partition_of(row, len(self.partitions))
 
-    def _split(self, rows: FrozenSet[RowKey]) -> Dict[int, List[RowKey]]:
+    def _split(self, rows: FrozenSet[RowKey]) -> List[List[RowKey]]:
+        """``rows`` routed: one list per partition id, each holding that
+        partition's rows in ``rows`` iteration order (the order the
+        checks scan; the input is a set, so rows are already unique)."""
         num = len(self.partitions)
-        shares: Dict[int, List[RowKey]] = {}
-        setdefault = shares.setdefault
-        # _split is hot (every cross-partition commit): with the default
+        shares: List[List[RowKey]] = [[] for _ in range(num)]
+        # Every decision routes through here: with the default
         # placement, small non-negative integer rows hash to themselves,
         # so the per-row stable_hash call is inlined away for them (its
         # identity rule, bound included so cross-type numeric equality
-        # holds).  Shares are lists (the input is a set, so rows are
-        # already unique): they are cheaper to build and to scan than
-        # sets, and their order — the footprint's iteration order
-        # restricted to the partition — is the order the checks scan.
+        # holds).
         if self._fast_hash:
             for row in rows:
                 if type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
-                    p = row % num
+                    shares[row % num].append(row)
                 else:
-                    p = stable_hash(row) % num
-                setdefault(p, []).append(row)
+                    shares[stable_hash(row) % num].append(row)
         else:
             p_of = self._sharding.partition_of
             for row in rows:
-                setdefault(p_of(row, num), []).append(row)
+                shares[p_of(row, num)].append(row)
         return shares
 
     # ------------------------------------------------------------------
@@ -207,130 +212,65 @@ class PartitionedOracle(CommitEngine):
             self.stats.read_only_commits += 1
             return CommitResult(True, request.start_ts, commit_ts=None)
 
-        pid = self._single_partition_of(request)
-        if pid >= 0:
-            # The common case the §6.3 footnote envisions: the whole
-            # footprint lives in one partition — decided there directly,
-            # with no share splitting or share-request construction.
-            return self._commit_single(request, pid)
-        return self._commit_cross(request)
-
-    def _single_partition_of(self, request: CommitRequest) -> int:
-        """The single partition owning the whole footprint, or -1.
-
-        Under SI the checked rows *are* the write set, so only WSI needs
-        the second (read-set) scan.
-        """
-        num = len(self.partitions)
-        if num == 1:
-            return 0
-        if not self._fast_hash:
-            # Non-default policy: every row through partition_of.
-            p_of = self._sharding.partition_of
-            pid = -1
-            for row in request.write_set:
-                p = p_of(row, num)
-                if pid < 0:
-                    pid = p
-                elif p != pid:
-                    return -1
-            if self.level == "wsi":
-                for row in request.read_set:
-                    p = p_of(row, num)
-                    if pid < 0:
-                        pid = p
-                    elif p != pid:
-                        return -1
-            return pid
-        # Same inlined integer fast path as _split: this scan runs for
-        # every non-read-only request.
-        pid = -1
-        for row in request.write_set:
-            if type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
-                p = row % num
-            else:
-                p = stable_hash(row) % num
-            if pid < 0:
-                pid = p
-            elif p != pid:
-                return -1
-        if self.level == "wsi":
-            for row in request.read_set:
-                if type(row) is int and 0 <= row < INT_IDENTITY_BOUND:
-                    p = row % num
-                else:
-                    p = stable_hash(row) % num
-                if pid < 0:
-                    pid = p
-                elif p != pid:
-                    return -1
-        return pid
-
-    def _commit_single(self, request: CommitRequest, pid: int) -> CommitResult:
-        """Decide a single-partition request against one shard directly."""
-        partition = self.partitions[pid]
-        _, scan, install = partition._hooks()
         start = request.start_ts
-        conflict_row, checked = scan(self.rows_to_check(request), start)
-        partition.stats.rows_checked += checked
-        if conflict_row is not None:
-            reason = "rw-conflict" if self.level == "wsi" else "ww-conflict"
-            self.stats.aborts += 1
-            self.stats.conflict_aborts += 1
-            self.single_partition_aborts += 1
-            self.commit_table.record_abort(start)
-            return CommitResult(
-                False, start, reason=reason, conflict_row=conflict_row
-            )
+        wsi = self.level == "wsi"
+        partitions = self.partitions
+        # Phase 1: route the checked rows once and validate each share
+        # in partition-id order (under SI the write share, under WSI the
+        # read share).  ``touched`` is the bitmask of the partitions the
+        # footprint has shown so far.
+        shares = self._split(self.rows_to_check(request))
+        touched = 0
+        for pid, share in enumerate(shares):
+            if not share:
+                continue
+            touched |= 1 << pid
+            partition = partitions[pid]
+            row, checked = partition._hooks()[1](share, start)
+            partition.stats.rows_checked += checked
+            if row is not None:
+                # The footprint is single-partition only if no other
+                # checked share is non-empty and, under WSI, no written
+                # row lives elsewhere: the write set is routed only in
+                # that case, up to its first row in another partition.
+                partition_of = self.partition_of
+                if (
+                    touched == 1 << pid
+                    and not any(shares[pid + 1:])
+                    and (
+                        not wsi
+                        or all(partition_of(w) == pid for w in request.write_set)
+                    )
+                ):
+                    self.single_partition_aborts += 1
+                else:
+                    self.cross_partition_aborts += 1
+                self.stats.aborts += 1
+                self.stats.conflict_aborts += 1
+                self.commit_table.record_abort(start)
+                return CommitResult(
+                    False,
+                    start,
+                    reason="rw-conflict" if wsi else "ww-conflict",
+                    conflict_row=row,
+                )
+
+        # Phase 2: decision is commit — assign Tc once, install every
+        # write share (under SI the checked shares are the write shares).
+        if wsi:
+            shares = self._split(request.write_set)
         commit_ts = self._tso.next()
-        install(request.write_set, commit_ts)
+        for pid, share in enumerate(shares):
+            if share:
+                touched |= 1 << pid
+                partitions[pid]._install(share, commit_ts)
         self.stats.rows_updated += len(request.write_set)
         self.commit_table.record_commit(start, commit_ts)
         self.stats.commits += 1
-        self.single_partition_commits += 1
-        return CommitResult(True, start, commit_ts=commit_ts)
-
-    def _commit_cross(self, request: CommitRequest) -> CommitResult:
-        """Two-phase decision for one cross-partition footprint.
-
-        Phase 1 scans each involved partition's share of the checked
-        rows with that partition's store hook; phase 2 assigns Tc once
-        and installs every write share.
-        """
-        start = request.start_ts
-        checked_shares = self._split(self.rows_to_check(request))
-        # Under SI the checked rows *are* the write set: one split
-        # serves both phases.
-        write_shares = (
-            self._split(request.write_set)
-            if self.level == "wsi"
-            else checked_shares
-        )
-
-        # Phase 1: every involved partition validates its share (for SI
-        # the write share, for WSI the read share).
-        for pid in sorted(checked_shares):
-            partition = self.partitions[pid]
-            row, checked = partition._hooks()[1](checked_shares[pid], start)
-            partition.stats.rows_checked += checked
-            if row is not None:
-                reason = "rw-conflict" if self.level == "wsi" else "ww-conflict"
-                self.stats.aborts += 1
-                self.stats.conflict_aborts += 1
-                self.cross_partition_aborts += 1
-                self.commit_table.record_abort(start)
-                return CommitResult(
-                    False, start, reason=reason, conflict_row=row
-                )
-
-        # Phase 2: decision is commit — assign Tc once, install shares.
-        commit_ts = self._tso.next()
-        for pid, rows in write_shares.items():
-            self.partitions[pid]._install(rows, commit_ts)
-            self.stats.rows_updated += len(rows)
-        self.commit_table.record_commit(start, commit_ts)
-        self.stats.commits += 1
-        self.cross_partition_commits += 1
+        if touched & (touched - 1):
+            self.cross_partition_commits += 1
+        else:
+            self.single_partition_commits += 1
         return CommitResult(True, start, commit_ts=commit_ts)
 
     def abort(self, start_ts: int) -> None:

@@ -165,7 +165,8 @@ Row placement is a :class:`~repro.core.sharding.ShardingPolicy`
 
 * :class:`~repro.core.sharding.HashSharding` — uniform spread, zero
   locality assumptions; the default.  Multi-row footprints go mostly
-  cross-partition, each paying the two-phase ``_commit_cross``.
+  cross-partition, each validated share by share on every partition
+  it touches before one commit timestamp is assigned.
 * :class:`~repro.core.sharding.RangeSharding` — contiguous key bands;
   right when co-accessed keys are *nearby* (range scans, clustered
   schemas).  Watch for hot bands under skew.

@@ -91,7 +91,6 @@ class FlushedBatch:
     aborts: int = 0
     rows_checked: int = 0
     rows_updated: int = 0
-    wal_written: bool = False
     #: ``(start_ts, commit_ts, rows)`` per committed request, in order.
     committed_payload: Tuple = ()
     #: aborted start timestamps, in order.
@@ -827,10 +826,8 @@ class OracleFrontend:
             # which never untracks a set — and append_decisions goes
             # through it and owns the size rule.
             wal = self._wal
-            wal_written = False
             if wal is not None and (payload_commits or payload_aborts):
                 payload = wal.append_decisions(payload_commits, payload_aborts)
-                wal_written = True
                 # Acknowledge only what a crash cannot take back.  A full
                 # batch (32 decisions = 1 KB) tripped the WAL's size
                 # trigger inside the append; a partial one (timer, force,
@@ -863,7 +860,6 @@ class OracleFrontend:
         cell.aborts = aborts
         cell.rows_checked = rows_checked
         cell.rows_updated = rows_updated
-        cell.wal_written = wal_written
         cell.committed_payload, cell.aborted_payload = payload
         cell.errors = tuple(errors)
         for listener in self._flush_listeners:

@@ -358,3 +358,57 @@ class TestStoreRules:
                 assert list(store.items()) == list(ref.items())
                 assert store.tmax == tmax
             assert len(store) == len(ref)
+
+    # Below NUMPY_MIN_ROWS the array scan is the scalar early-stop
+    # probe: these pin its verdict and examined count on the cases a
+    # gather got wrong or wasted work on.
+
+    SHORT = NUMPY_MIN_ROWS - 1
+
+    def test_short_scan_over_never_interned_rows(self):
+        store, ref = ArrayLastCommit(), {}
+        for key in range(0, 8, 2):
+            store[key] = 20
+            ref[key] = 20
+        rows = ("unseen",) + tuple(range(self.SHORT - 1))
+        assert len(rows) < NUMPY_MIN_ROWS
+        for start in (10, 20):
+            assert store.scan_conflict(rows, start) == dict_scan(
+                ref, rows, start
+            )
+        fresh = ("x", "y", "z")
+        assert store.scan_conflict(fresh, 1) == dict_scan(ref, fresh, 1)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_short_scan_conflict_position(self, where):
+        rows = tuple(range(self.SHORT))
+        hot = {"first": 0, "middle": self.SHORT // 2, "last": self.SHORT - 1}
+        store, ref = ArrayLastCommit(), {}
+        store.install(rows, 5)
+        ref.update(dict.fromkeys(rows, 5))
+        store[rows[hot[where]]] = 50
+        ref[rows[hot[where]]] = 50
+        for start in (4, 10, 50):
+            assert store.scan_conflict(rows, start) == dict_scan(
+                ref, rows, start
+            )
+        assert store.scan_conflict(rows, 10) == (
+            rows[hot[where]], hot[where] + 1
+        )
+
+    def test_short_scan_slot_beyond_the_timestamp_array(self):
+        # Two stores over one interner: rows interned through the other
+        # store get slot ids past this store's (never grown) array, and
+        # must read as absent.
+        interner = KeyInterner()
+        store, ref = ArrayLastCommit(interner), {}
+        store.install(["a", "b"], 7)
+        ref.update(dict.fromkeys(["a", "b"], 7))
+        ArrayLastCommit(interner).install(["c", "d", "e"], 99)
+        assert interner.id_of("e") >= store.slot_count()
+        rows = ("c", "a", "e", "b", "d")
+        for start in (3, 7, 100):
+            assert store.scan_conflict(rows, start) == dict_scan(
+                ref, rows, start
+            )
+

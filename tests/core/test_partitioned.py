@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TransactionManager
 from repro.core.errors import ConflictAbort, OracleClosed
 from repro.core.partitioned import PartitionedOracle
+from repro.core.sharding import HashSharding, RangeSharding, ShardingPolicy
 from repro.core.status_oracle import CommitRequest, make_oracle
+from repro.core.timestamps import TimestampOracle
 from repro.mvcc.store import MVCCStore
 
 
@@ -193,3 +196,198 @@ class TestDifferentialEquivalence:
         t4.commit()
         with pytest.raises(ConflictAbort):
             t3.commit()
+
+
+class ReferenceRule:
+    """The per-request rule, written out independently of the engine.
+
+    Route the whole footprint (read set plus write set under WSI, the
+    write set under SI) to tell a single-partition decision from a
+    cross-partition one; validate the checked rows share by share in
+    partition-id order, each share in the checked set's iteration
+    order; on success assign Tc once and install the write set.
+    """
+
+    TALLIES = (
+        "single_partition_commits",
+        "single_partition_aborts",
+        "cross_partition_commits",
+        "cross_partition_aborts",
+    )
+
+    def __init__(self, level, num_partitions, sharding):
+        self.level = level
+        self.num = num_partitions
+        self.sharding = sharding
+        self.tso = TimestampOracle()
+        self.last = [{} for _ in range(num_partitions)]
+        self.rows_checked = [0] * num_partitions
+        self.tallies = dict.fromkeys(self.TALLIES, 0)
+
+    def route(self, row):
+        return self.sharding.partition_of(row, self.num)
+
+    def begin(self):
+        return self.tso.next()
+
+    def commit(self, request):
+        """``(committed, commit_ts, reason, conflict_row)``."""
+        writes = request.write_set
+        if not writes:
+            return True, None, "", None
+        wsi = self.level == "wsi"
+        checked = request.read_set if wsi else writes
+        footprint = {self.route(row) for row in writes | checked}
+        kind = "single" if len(footprint) == 1 else "cross"
+        for pid in range(self.num):
+            last = self.last[pid]
+            for row in (r for r in checked if self.route(r) == pid):
+                self.rows_checked[pid] += 1
+                stamp = last.get(row)
+                if stamp is not None and stamp > request.start_ts:
+                    self.tallies[kind + "_partition_aborts"] += 1
+                    reason = "rw-conflict" if wsi else "ww-conflict"
+                    return False, None, reason, row
+        commit_ts = self.tso.next()
+        for row in writes:
+            self.last[self.route(row)][row] = commit_ts
+        self.tallies[kind + "_partition_commits"] += 1
+        return True, commit_ts, "", None
+
+
+def decide_both(engine, ref, request):
+    got = engine.commit(request)
+    want = ref.commit(request)
+    assert (
+        got.committed, got.commit_ts, got.reason, got.conflict_row
+    ) == want, request
+    assert [
+        p.stats.rows_checked for p in engine.partitions
+    ] == ref.rows_checked
+    assert {name: getattr(engine, name) for name in ref.TALLIES} == ref.tallies
+    return got
+
+
+SHARDINGS = {
+    "hash-4": (HashSharding, 4),
+    "hash-3": (HashSharding, 3),
+    "hash-1": (HashSharding, 1),
+    "range-4": (lambda: RangeSharding(keyspace=12), 4),
+}
+
+row_keys = st.one_of(
+    st.integers(0, 13), st.sampled_from(["a", "b", "c", ("k", 1)])
+)
+steps = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.frozensets(row_keys, max_size=5),
+        st.frozensets(row_keys, max_size=5),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestOneDecisionPath:
+    """``commit`` against the reference rule, request by request:
+    decision, commit timestamp, reason, conflict row, each partition's
+    ``rows_checked`` and the four single/cross tallies."""
+
+    @staticmethod
+    def pair(level, store, sharding="hash-4"):
+        make_policy, num = SHARDINGS[sharding]
+        engine = PartitionedOracle(
+            level=level, num_partitions=num, sharding=make_policy(),
+            lastcommit=store,
+        )
+        return engine, ReferenceRule(level, num, make_policy())
+
+    @pytest.mark.parametrize("sharding", sorted(SHARDINGS))
+    @pytest.mark.parametrize("store", ["dict", "array"])
+    @pytest.mark.parametrize("level", ["si", "wsi"])
+    @given(script=steps)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, level, store, sharding, script):
+        engine, ref = self.pair(level, store, sharding)
+        open_starts = []
+        for lag, writes, reads in script:
+            start = engine.begin()
+            assert ref.begin() == start
+            open_starts.append(start)
+            start = open_starts.pop(max(0, len(open_starts) - 1 - lag))
+            decide_both(engine, ref, req(start, writes, reads))
+
+    @pytest.mark.parametrize("store", ["dict", "array"])
+    def test_wsi_abort_reading_one_partition_writing_another(self, store):
+        engine, ref = self.pair("wsi", store)
+        stale = engine.begin()
+        assert ref.begin() == stale
+        ts = engine.begin()
+        assert ref.begin() == ts
+        decide_both(engine, ref, req(ts, writes={0, 4}))
+        # Reads sit in partition 0 only, the write lands in partition 1.
+        result = decide_both(engine, ref, req(stale, writes={1}, reads={0, 4}))
+        assert not result.committed and result.conflict_row in (0, 4)
+        assert engine.cross_partition_aborts == 1
+        assert engine.single_partition_aborts == 0
+
+    @pytest.mark.parametrize("level", ["si", "wsi"])
+    @pytest.mark.parametrize("store", ["dict", "array"])
+    def test_write_only_requests(self, level, store):
+        engine, ref = self.pair(level, store)
+        for writes in ({0, 4}, {0, 1}, {8}):
+            start = engine.begin()
+            assert ref.begin() == start
+            assert decide_both(engine, ref, req(start, writes=writes)).committed
+        assert engine.single_partition_commits == 2
+        assert engine.cross_partition_commits == 1
+
+    @pytest.mark.parametrize("level", ["si", "wsi"])
+    @pytest.mark.parametrize("store", ["dict", "array"])
+    def test_read_only_request(self, level, store):
+        engine, ref = self.pair(level, store)
+        start = engine.begin()
+        assert ref.begin() == start
+        result = decide_both(engine, ref, req(start, reads={0, 1, "a"}))
+        assert result.committed and result.commit_ts is None
+        assert engine.cross_partition_fraction() == 0.0
+
+
+class CountingSharding(ShardingPolicy):
+    """Hash placement that counts its ``partition_of`` calls."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def partition_of(self, row, num_partitions):
+        self.calls += 1
+        return HashSharding().partition_of(row, num_partitions)
+
+
+class TestRoutingWork:
+    def test_wsi_cross_partition_abort_never_routes_its_write_set(self):
+        policy = CountingSharding()
+        engine = PartitionedOracle(
+            level="wsi", num_partitions=4, sharding=policy
+        )
+        stale = engine.begin()
+        assert engine.commit(req(engine.begin(), writes={0, 1})).committed
+        reads, writes = {0, 1}, {2, 3, 5, 6, 7}  # reads span two partitions
+        policy.calls = 0
+        result = engine.commit(req(stale, writes=writes, reads=reads))
+        assert not result.committed
+        assert policy.calls == len(reads)
+        assert engine.cross_partition_aborts == 1
+
+    def test_commit_routes_each_row_once(self):
+        policy = CountingSharding()
+        engine = PartitionedOracle(
+            level="wsi", num_partitions=4, sharding=policy
+        )
+        reads, writes = {0, 1, 9}, {2, 3, 5}
+        assert engine.commit(req(engine.begin(), writes, reads)).committed
+        assert policy.calls == len(reads) + len(writes)
+

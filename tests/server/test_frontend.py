@@ -269,12 +269,19 @@ class TestWALGroupRecords:
             for start, write_set in zip(starts, write_sets):
                 frontend.submit_commit(CommitRequest(start, write_set))
             frontend.submit_abort(starts[2])
-            flushed = frontend.flush()
-            assert flushed.wal_written is with_wal
             if with_wal:
+                assert decision_records(wal) == []
+            flushed = frontend.flush()
+            if with_wal:
+                # The flush adds exactly one group-commit record.
                 (record,) = decision_records(wal)
+                assert record.kind == GROUP_COMMIT_RECORD
                 assert flushed.committed_payload is record.payload[0]
                 assert flushed.aborted_payload is record.payload[1]
+            else:
+                # No log anywhere: neither the frontend nor its backend
+                # has a WAL the flush could write to.
+                assert frontend.wal is None
             payloads.append((flushed.committed_payload, flushed.aborted_payload))
         assert payloads[0] == payloads[1]
         assert payloads[0] == group_commit_payload(*payloads[0])
