@@ -71,7 +71,8 @@ bench-smoke:
 ## conflict outcomes) pin engine="oracle" and ride along unchanged.
 ## The REPRO_LASTCOMMIT=array leg runs the whole fast suite with every
 ## oracle built without an explicit lastcommit= re-backed onto the
-## interned-array store (repro.core.lastcommit) — representation is
+## array store (repro.core.lastcommit: the dict store plus a gatherable
+## timestamp lane for wide int row sets) — representation is
 ## performance policy, never semantics, so the suite must stay green
 ## verbatim (the hypothesis pins in test_equivalence_properties.py
 ## additionally require bit-identical decisions and replay).
@@ -98,7 +99,7 @@ check:
 ## cProfile the batch-decide frontend microbench and print the top-20
 ## functions by cumulative time (where the critical section spends it),
 ## then the E24-shaped batch-128 attribution of the array lastCommit
-## backend: cumulative time per phase (intern / gather / compare /
+## backend: cumulative time per phase (keys / lane gather + compare /
 ## install) plus the measured bytes/entry of both backends, then the
 ## cyclic collector's share of a session-driven batch-32 run whose
 ## caller keeps its futures: seconds per generation (gc.callbacks —

@@ -5,9 +5,9 @@ critical section §6.3 bounds.  E18 amortized the per-request overhead
 around the check; E24 attacks the check itself.  On a warmed keyspace
 the dict backend's ``isdisjoint`` prefilter always fails and every
 checked row degrades to an interpreted dict probe; the array backend
-(``REPRO_LASTCOMMIT=array``) interns rows to dense ids once and turns
-the whole scan into two vectorized gathers plus one ``max`` (the int
-lane — see ``repro.core.keyspace``).
+(``REPRO_LASTCOMMIT=array``) keeps the same dict plus a timestamp lane
+indexed by the int row key, and turns the whole scan into one
+vectorized gather plus one ``max`` (see ``repro.core.lastcommit``).
 
 The workload is deliberately low-conflict (keyspace 2^18, 256-row read
 sets, 2-row write sets, fresh starts per batch): a suspected conflict
@@ -55,8 +55,8 @@ FOOTPRINT_ENTRIES = 20_000 if SMOKE else 100_000
 
 @pytest.mark.figure("e24")
 def test_e24_array_backend_speedup(benchmark, print_header):
-    # The ≥2x claim is about the vectorized int lane; without numpy the
-    # store runs its scalar fallback (correct, but no speedup to assert).
+    # The ≥2x claim is about the vectorized lane gather; without numpy the
+    # store gathers with itemgetter (correct, but no bar to assert).
     pytest.importorskip("numpy")
     specs = make_scan_specs(NUM_REQUESTS)
     ratios = benchmark.pedantic(
@@ -138,9 +138,9 @@ def test_e24_memory_footprint(print_header):
     """Measured bytes/entry vs the documented ~32 B/entry dict estimate
     (Appendix A's amortized slot cost, which excludes the key and value
     objects the measurement here includes).  The array backend trades
-    memory *up* for scan speed — it keeps the dict backend's key->id map
-    plus the timestamp array, reverse table and int lane — so the
-    honest assertion is array > dict, not the reverse."""
+    memory *up* for scan speed — it keeps the dict backend's dict plus
+    the timestamp lane — so the honest assertion is array > dict, not
+    the reverse."""
     print_header("E24d — lastCommit memory footprint (measured)")
     fp = measure_lastcommit_footprints(num_entries=FOOTPRINT_ENTRIES)
     print(

@@ -755,11 +755,11 @@ def measure_lastcommit_footprints(num_entries: int = 100_000) -> dict:
     int-keyed entries (``sys.getsizeof`` over every reachable piece).
 
     The honest accounting the ROADMAP note quotes: the array backend is
-    *not* smaller — it keeps the same key->id dict the dict backend
-    keeps (plus the reverse table, the timestamp array and the int
-    lane); what it buys is scan speed.  Key and value objects shared
-    with the rest of the process (small-int cache) are counted once per
-    backend so both sides are measured the same way.
+    *not* smaller — it keeps the same dict the dict backend keeps, plus
+    the timestamp lane its gathers read; what it buys is scan speed.
+    Key and value objects shared with the rest of the process
+    (small-int cache) are counted once per backend so both sides are
+    measured the same way.
     """
     import sys as _sys
 
@@ -767,30 +767,24 @@ def measure_lastcommit_footprints(num_entries: int = 100_000) -> dict:
 
     entries = {key: key + num_entries for key in range(num_entries)}
 
-    dict_store = dict(entries)
-    dict_bytes = (
-        _sys.getsizeof(dict_store)
-        + sum(_sys.getsizeof(k) for k in dict_store)
-        + sum(_sys.getsizeof(v) for v in dict_store.values())
-    )
+    def dict_bytes(store: dict) -> int:
+        return (
+            _sys.getsizeof(store)
+            + sum(_sys.getsizeof(k) for k in store)
+            + sum(_sys.getsizeof(v) for v in store.values())
+        )
 
     array_store = ArrayLastCommit()
-    array_store.install(range(num_entries), 1)
+    array_store.install(range(num_entries), 1)  # wide: builds the lane
     for key, ts in entries.items():
         array_store[key] = ts
-    interner = array_store.interner
-    array_bytes = (
-        _sys.getsizeof(array_store._ts)
-        + _sys.getsizeof(interner._ids)
-        + sum(_sys.getsizeof(k) for k in interner._ids)
-        + _sys.getsizeof(interner._keys)
-        + _sys.getsizeof(interner._int_table)
-        + sum(_sys.getsizeof(v) for v in entries.values())
+    array_bytes = dict_bytes(array_store._d) + _sys.getsizeof(
+        array_store._lane
     )
 
     return {
         "entries": num_entries,
-        "dict_bytes_per_entry": dict_bytes / num_entries,
+        "dict_bytes_per_entry": dict_bytes(dict(entries)) / num_entries,
         "array_bytes_per_entry": array_bytes / num_entries,
     }
 
@@ -802,74 +796,58 @@ def profile_lastcommit(
     read_rows: int = E24_READ_ROWS,
 ) -> None:
     """Per-phase attribution of the array backend's hot path (the
-    ``make profile`` E24 mode): cumulative time in intern / gather /
-    compare / install over an E24-shaped batch-128 run, measured by
-    driving each phase directly against a warmed store."""
+    ``make profile`` E24 mode): cumulative time in keys / gather /
+    install over an E24-shaped batch-128 run, measured by driving each
+    phase directly against a warmed store."""
     from repro.core.lastcommit import ArrayLastCommit, _np
 
     specs = make_scan_specs(
         num_requests, keyspace=keyspace, read_rows=read_rows
     )
 
-    # Phase 1 — intern: dense-id assignment for every footprint, against
-    # a fresh interner (the cost a cold store pays exactly once per key).
-    cold = ArrayLastCommit()
-    intern_many = cold.interner.intern_many
-    gc.collect()
-    t0 = time.perf_counter()
-    for reads, writes in specs:
-        intern_many(reads)
-        intern_many(writes)
-    t_intern = time.perf_counter() - t0
-
-    # Warmed store for the steady-state phases.
-    store = ArrayLastCommit()
-    store.install(range(keyspace), 1)
-
     if _np is None:  # pragma: no cover - numpy is in the benchmark env
-        print("numpy unavailable: gather/compare phases need the int lane")
+        print("numpy unavailable: the keys/gather phases need the lane")
         return
 
-    interner = store.interner
-    table = interner.int_table
-    ts = store._ts
+    # Warmed store: one wide install builds the lane.
+    store = ArrayLastCommit()
+    store.install(range(keyspace), 1)
+    lane = store._lane
 
-    # Phase 2 — gather: row keys -> numpy array -> slot-id gather.
+    # Phase 1 — keys: row keys -> numpy index array.
     gc.collect()
     t0 = time.perf_counter()
-    kid_arrays = []
-    for reads, _ in specs:
-        keys_np = _np.fromiter(reads, _np.int64, len(reads))
-        kid_arrays.append(_np.frombuffer(table, dtype=_np.int64)[keys_np])
-    t_gather = time.perf_counter() - t0
+    key_arrays = [
+        _np.fromiter(reads, _np.int64, len(reads)) for reads, _ in specs
+    ]
+    t_keys = time.perf_counter() - t0
 
-    # Phase 3 — compare: timestamp gather + max > Ts.
+    # Phase 2 — gather: lane[keys] + max > Ts.
     start_ts = keyspace + 1
     gc.collect()
     t0 = time.perf_counter()
-    for kids_np in kid_arrays:
-        peak = int(_np.frombuffer(ts, dtype=_np.int64)[kids_np].max())
+    for keys_np in key_arrays:
+        peak = int(_np.frombuffer(lane, dtype=_np.int64)[keys_np].max())
         if peak > start_ts:  # never on the warmed workload
             raise AssertionError("unexpected conflict in profile run")
-    t_compare = time.perf_counter() - t0
+    t_gather = time.perf_counter() - t0
 
-    # Phase 4 — install: one bulk install per request's write set.
+    # Phase 3 — install: one bulk install per request's write set.
     gc.collect()
     t0 = time.perf_counter()
     for i, (_, writes) in enumerate(specs):
         store.install(writes, start_ts + i)
     t_install = time.perf_counter() - t0
 
-    total = t_intern + t_gather + t_compare + t_install
+    total = t_keys + t_gather + t_install
     print(
         f"E24 array-backend phase attribution "
         f"({num_requests} requests, batch {batch_size} shape, "
         f"{read_rows} checked rows/request, keyspace {keyspace}):"
     )
     for name, t in (
-        ("intern (cold, once per key)", t_intern),
-        ("gather (keys -> slot ids)", t_gather),
-        ("compare (ts gather + max)", t_compare),
+        ("keys (rows -> index array)", t_keys),
+        ("gather (lane[keys] + max)", t_gather),
         ("install (write sets)", t_install),
     ):
         print(

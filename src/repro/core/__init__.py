@@ -11,11 +11,11 @@ Public surface:
   :class:`BoundedStatusOracle` (Alg. 3), :func:`make_oracle`.
 * :class:`TimestampOracle` — batched-durability timestamp server.
 * :class:`CommitTable`, :class:`ClientCommitView` — commit-state replicas.
-* :class:`LastCommitStore` backends — :class:`ArrayLastCommit` /
-  :class:`BoundedArrayLastCommit` over :class:`KeyInterner` dense ids,
-  and Algorithm 3's :class:`BoundedLastCommit` over either,
-  selected per oracle via ``lastcommit=`` or globally via
-  ``REPRO_LASTCOMMIT`` (:func:`make_lastcommit`).
+* :class:`LastCommitStore` backends — :class:`ArrayLastCommit` (the
+  dict store plus a gatherable timestamp lane for wide int row sets)
+  and Algorithm 3's :class:`BoundedLastCommit`, selected per oracle via
+  ``lastcommit=`` or globally via ``REPRO_LASTCOMMIT``
+  (:func:`make_lastcommit`).
 * :class:`PartitionedOracle` (§6.3 footnote 6: sharded ``lastCommit``
   behind one TSO) with pluggable
   :class:`~repro.core.sharding.ShardingPolicy` placement
@@ -56,10 +56,8 @@ from repro.core.errors import (
     WALError,
 )
 from repro.core.isolation import IsolationLevel, TransactionalSystem, create_system
-from repro.core.keyspace import KeyInterner
 from repro.core.lastcommit import (
     ArrayLastCommit,
-    BoundedArrayLastCommit,
     BoundedLastCommit,
     LastCommitStore,
     make_lastcommit,
@@ -108,10 +106,8 @@ __all__ = [
     "CommitRequest",
     "CommitResult",
     "OracleStats",
-    "KeyInterner",
     "LastCommitStore",
     "ArrayLastCommit",
-    "BoundedArrayLastCommit",
     "BoundedLastCommit",
     "make_lastcommit",
     "PartitionedOracle",

@@ -29,26 +29,25 @@ and recovery all call these; none of them scans or installs by hand.
     walk every entry (see ROADMAP.md, "Decide path").
 
 ``array`` (:class:`ArrayLastCommit`)
-    Keys are interned to dense int ids (:class:`~repro.core.keyspace.
-    KeyInterner`), timestamps live in a flat ``array('q')`` indexed by
-    id, and 0 is the *absent* sentinel (commit timestamps are always
-    >= 1; recovery already treats 0 as "never written").  From
-    :data:`NUMPY_MIN_ROWS` rows up the scan is one gather plus one
-    ``max(...) > start_ts`` compare instead of N interpreted dict
-    probes — numpy vectorises the int-key case, a C-level
-    ``itemgetter`` id + timestamp gather serves the rest; below it, the
-    scan is the same early-stop per-row probe as the dict backend's.
-    The install is one id gather plus a flat store sweep.  Benchmark
+    The same exact ``dict`` as the only store, and below
+    :data:`NUMPY_MIN_ROWS` rows the same scan and install.  From that
+    size up the scan is one gather plus one ``max(...) > start_ts``
+    compare instead of N interpreted probes: numpy gathers int keys
+    from a direct-addressed ``array('q')`` of timestamps (the *lane*,
+    indexed by the key itself, 0 = never written), and a C-level
+    ``itemgetter`` gather over the dict serves the rest.  The lane is
+    built from the dict the first time the store meets a row set that
+    wide, so a store that never gathers never carries one.  Benchmark
     E24 pins the >= 2x batch-128 speedup; the hypothesis equivalence
     suites pin array == dict decisions bit-for-bit.
 
 bounded (:class:`BoundedLastCommit`)
     Algorithm 3 (Appendix A): at most ``max_rows`` rows in LRU order
-    over an ``OrderedDict`` (dict backend) or a
-    :class:`BoundedArrayLastCommit` (array backend), plus ``tmax``, the
-    highest commit timestamp ever evicted.  Its scan also aborts on an
-    absent row when ``tmax > start_ts``; its install reinserts at the
-    MRU end and evicts from the LRU end.
+    over an ``OrderedDict`` (whichever backend is named: the bounded
+    scan is the scalar Algorithm 3 scan and reads no lane), plus
+    ``tmax``, the highest commit timestamp ever evicted.  Its scan also
+    aborts on an absent row when ``tmax > start_ts``; its install
+    reinserts at the MRU end and evicts from the LRU end.
 
 Every store speaks the ``MutableMapping`` protocol, so recovery,
 analytics and the equivalence tests' ``dict(...)`` comparisons work on
@@ -70,8 +69,6 @@ from collections.abc import Mapping, MutableMapping
 from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
-from .keyspace import KeyInterner
-
 try:  # numpy is optional: the itemgetter path is the mandatory fallback
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only without numpy
@@ -82,11 +79,11 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 _np_max = _np.maximum.reduce if _np is not None else None
 
 __all__ = [
+    "INT_LANE_BOUND",
     "LASTCOMMIT_ENV",
     "NUMPY_MIN_ROWS",
     "LastCommitStore",
     "ArrayLastCommit",
-    "BoundedArrayLastCommit",
     "BoundedLastCommit",
     "default_lastcommit_kind",
     "make_lastcommit",
@@ -98,13 +95,25 @@ __all__ = [
 LASTCOMMIT_ENV = "REPRO_LASTCOMMIT"
 
 #: Row-set size at which ``ArrayLastCommit.scan_conflict`` switches
-#: from the scalar early-stop probe to a gather (numpy's int lane, or
-#: the itemgetter chain where the lane cannot run).  Below it the fixed
-#: cost of a gather — the index array and ``frombuffer`` view, or the
-#: ``KeyError`` on a never-written row and the rescan after a conflict —
-#: outweighs N interpreted probes; typical read sets and partition
-#: shares (<= ~16 rows) stay on the probe even when numpy is installed.
+#: from the dict store's scalar scan to a gather (numpy's lane, or the
+#: itemgetter gather where the lane cannot run), and at which the store
+#: first builds its lane.  Below it the fixed cost of a gather — the
+#: index array and ``frombuffer`` view, or the ``KeyError`` on a
+#: never-written row and the rescan after a conflict — outweighs N
+#: interpreted probes; typical read sets and partition shares (<= ~21
+#: rows) stay on the probe and never build a lane.
 NUMPY_MIN_ROWS = 32
+
+#: Largest int key (exclusive) the lane records, and the cap on its
+#: length.  The lane is direct-addressed (8 bytes per possible key below
+#: the largest recorded one), so the bound caps it at 16 MB.
+INT_LANE_BOUND = 1 << 21
+
+#: The one key type the lane holds: ``bool`` and every other numeric
+#: type end it (numpy would cast them onto an int cell).
+_INT_ONLY = frozenset((int,))
+
+_fromkeys = dict.fromkeys
 
 
 class LastCommitStore(MutableMapping):
@@ -144,330 +153,206 @@ class LastCommitStore(MutableMapping):
 
 
 class ArrayLastCommit(LastCommitStore):
-    """Flat ``array('q')`` of commit timestamps indexed by interned slot.
+    """An exact ``dict`` of row -> commit timestamp, plus a lazily built
+    timestamp lane that gathers wide int-keyed row sets in one step.
 
-    Zero-valued slots are absent (commit timestamps are >= 1), and slot
-    0 — which the interner never assigns — stays permanently 0 so the
-    vectorised check can route "unseen" lookups there without masking.
-    The array grows monotonically with the interner — keys deleted from
-    the *mapping* keep their slot, so re-installs never re-intern and
-    ids stay stable for the store's lifetime (and across processes, per
-    the interner's contract).
+    The dict is the only authority.  The lane is a direct-addressed
+    ``array('q')`` of timestamps indexed by the int key itself (0 =
+    never written; commit timestamps are >= 1), built from the dict the
+    first time the store meets a row set of :data:`NUMPY_MIN_ROWS` rows,
+    so a store that never gathers never carries one.  ``_lane`` is
+    ``None`` until then, ``False`` once a key the lane cannot hold (not
+    an exact non-negative ``int``) has been written, and otherwise the
+    array, which is never empty.  Int keys at or above
+    :data:`INT_LANE_BOUND` stay in the dict only: the lane never grows
+    past the bound, so its bounds guard sends any row set holding such
+    a key to the exact ``itemgetter`` gather.
+
+    Every write goes through :meth:`install`, which writes the lane or
+    ends it.  A deleted row keeps its lane cell, so the lane may
+    *over*-report; a gather above ``start_ts`` is only a suspicion,
+    settled by the scalar rescan, and the lane never under-reports.
     """
 
-    __slots__ = ("_interner", "_ts", "_live")
+    __slots__ = ("_d", "_lane", "_get", "_isdisjoint", "_update")
 
     kind = "array"
 
-    def __init__(self, interner: Optional[KeyInterner] = None) -> None:
-        self._interner = interner if interner is not None else KeyInterner()
-        #: commit timestamp per slot; 0 == absent.  Grown (never shrunk)
-        #: to the interner's slot capacity on demand.
-        self._ts: array = array("q", bytes(8 * self._interner.slot_capacity))
-        #: live (non-zero) entry count: the mapping's len().
-        self._live = 0
-
-    # -- growth ----------------------------------------------------------
-
-    def _grow(self) -> array:
-        """Extend the slot array to the interner's current capacity.
-
-        numpy views are never cached across calls precisely because of
-        this method: a live ``frombuffer`` view pins the buffer and
-        ``array.extend`` would raise ``BufferError``.
-        """
-        ts = self._ts
-        short = self._interner.slot_capacity - len(ts)
-        if short > 0:
-            ts.frombytes(bytes(8 * short))
-        return ts
+    def __init__(self) -> None:
+        #: row -> commit timestamp: an exact dict of ints, which the
+        #: cyclic collector never tracks.
+        d: Dict[Hashable, int] = {}
+        self._d = d
+        #: None (not built) | False (ended) | array('q'): ts by int key.
+        self._lane: Union[None, bool, array] = None
+        # The dict's bound methods, resolved once (the keys view is
+        # live: it sees every later write).
+        self._get = d.get
+        self._isdisjoint = d.keys().isdisjoint
+        self._update = d.update
 
     # -- mapping protocol ------------------------------------------------
 
     def __getitem__(self, key: Hashable) -> int:
-        kid = self._interner._ids.get(key)
-        if kid is not None and kid < len(self._ts):
-            ts = self._ts[kid]
-            if ts:
-                return ts
-        raise KeyError(key)
+        return self._d[key]
 
     def get(self, key: Hashable, default=None):
-        kid = self._interner._ids.get(key)
-        if kid is not None and kid < len(self._ts):
-            ts = self._ts[kid]
-            if ts:
-                return ts
-        return default
+        return self._d.get(key, default)
 
     def __setitem__(self, key: Hashable, commit_ts: int) -> None:
-        if commit_ts <= 0:
-            raise ValueError(
-                f"ArrayLastCommit timestamps must be positive (0 is the "
-                f"absent sentinel); got {commit_ts!r} for {key!r}"
-            )
-        kid = self._interner.intern(key)
-        ts = self._ts
-        if kid >= len(ts):
-            ts = self._grow()
-        if ts[kid] == 0:
-            self._live += 1
-            self._record_insert(kid)
-        ts[kid] = commit_ts
+        self.install((key,), commit_ts)
 
     def __delitem__(self, key: Hashable) -> None:
-        kid = self._interner._ids.get(key)
-        if kid is None or kid >= len(self._ts) or self._ts[kid] == 0:
-            raise KeyError(key)
-        self._ts[kid] = 0
-        self._live -= 1
-        self._record_delete(kid)
+        del self._d[key]
 
     def __iter__(self) -> Iterator[Hashable]:
-        # Id (= deterministic intern) order; callers needing LRU order
-        # use BoundedArrayLastCommit.
-        keys = self._interner._keys
-        ts = self._ts
-        for kid in range(len(ts)):
-            if ts[kid]:
-                yield keys[kid]
+        return iter(self._d)
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._d)
 
     def __contains__(self, key: Hashable) -> bool:
-        kid = self._interner._ids.get(key)
-        return kid is not None and kid < len(self._ts) and self._ts[kid] != 0
+        return key in self._d
 
     def __eq__(self, other: object) -> bool:
         # Mapping-value equality against *any* mapping (dict included),
         # so backend-crossed comparisons in tests behave like dict==dict.
         if isinstance(other, Mapping):
-            return dict(self) == dict(other)
+            return self._d == dict(other)
         return NotImplemented
 
     # MutableMapping sets __hash__ = None; keep it that way.
     __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({dict(self)!r})"
+        return f"{type(self).__name__}({self._d!r})"
 
-    # -- LRU-order hooks (no-ops here; BoundedArrayLastCommit overrides) --
-
-    def _record_insert(self, kid: int) -> None:
-        pass
-
-    def _record_delete(self, kid: int) -> None:
-        pass
+    def clear(self) -> None:
+        self._d.clear()
+        self._lane = None
 
     # -- the two hooks store_hooks() hands the decide paths ---------------
+
+    def _build_lane(self) -> Union[bool, array]:
+        """Build the lane from the dict, or end it when some key is not
+        an exact non-negative ``int``.  Runs once per store."""
+        d = self._d
+        if not _INT_ONLY.issuperset(map(type, d)) or (d and min(d) < 0):
+            self._lane = False
+            return False
+        top = min(max(d, default=0) + 1, INT_LANE_BOUND)
+        lane = array("q", bytes(top << 3))
+        for key, ts in d.items():
+            if key < top:
+                lane[key] = ts
+        self._lane = lane
+        return lane
 
     def install(self, keys, commit_ts: int) -> None:
         """Store a whole write set (a set, tuple or list) at ``commit_ts``.
 
-        Already-interned keys take one C-level id gather; only a write
-        set with an unseen key pays ``intern_many`` (deterministic id
-        order for the new ones) and the slot-array grow.  Then one
-        store sweep — no Python call per row.
+        The dict store's own ``update(fromkeys(...))``, then the lane's
+        cells for the same rows when the lane exists; a write set of
+        :data:`NUMPY_MIN_ROWS` rows or more builds it.
         """
         if commit_ts <= 0:
             raise ValueError(
                 f"ArrayLastCommit timestamps must be positive (0 is the "
-                f"absent sentinel); got {commit_ts!r}"
+                f"lane's absent value); got {commit_ts!r}"
             )
-        if not keys:
-            return
-        interner = self._interner
-        ts = self._ts
-        try:
-            kids = itemgetter(*keys)(interner._ids)
-        except KeyError:
-            kids = interner.intern_many(keys)
-        if len(ts) < len(interner._keys):
-            ts = self._grow()
-        fresh = 0
-        if kids.__class__ is int:  # one key: itemgetter returned its id
-            if ts[kids] == 0:
-                fresh = 1
-            ts[kids] = commit_ts
-        else:
-            for kid in kids:
-                if ts[kid] == 0:
-                    fresh += 1
-                ts[kid] = commit_ts
-        self._live += fresh
+        self._update(_fromkeys(keys, commit_ts))
+        lane = self._lane
+        if lane is None:
+            if len(keys) >= NUMPY_MIN_ROWS:
+                self._build_lane()
+        elif lane:
+            for key in keys:
+                if key.__class__ is not int or key < 0:
+                    # numpy would cast such a key onto some int cell:
+                    # the lane ends for good.
+                    self._lane = False
+                    return
+                size = len(lane)
+                if key >= size:
+                    if key >= INT_LANE_BOUND:
+                        continue  # dict only; the bounds guard covers it
+                    # Doubling, zero-filled growth, capped at the bound.
+                    grown = min(max(key + 1, 2 * size), INT_LANE_BOUND)
+                    lane.frombytes(bytes((grown - size) << 3))
+                lane[key] = commit_ts
 
     def scan_conflict(
         self, rows, start_ts: int
     ) -> Tuple[Optional[Hashable], int]:
         """First conflicting row and rows-examined count, dict-identically.
 
-        Three regimes, by row count:
+        Below :data:`NUMPY_MIN_ROWS` rows this is the dict store's scan:
+        the C-speed ``isdisjoint`` sweep, then the early-stop ``get``
+        probe.  From the threshold up, one gather and one ``max`` first:
 
-        * **scalar probe** (below :data:`NUMPY_MIN_ROWS` rows): the dict
-          backend's faithful early-stop scan, one id probe and one slot
-          read per row.  On a short row set a gather costs more than it
-          saves: a never-interned row makes it raise, and a conflict
-          pays a full rescan after it.
-        * **int lane** (at or above :data:`NUMPY_MIN_ROWS`, numpy
-          present, every interned key an exact int): one ``fromiter``
-          over the row set, one vectorised slot gather from the
-          interner's int table (0 routes to the reserved always-0
-          slot), one vectorised timestamp gather + ``max`` — zero
-          per-row Python work.  The gathered max can only over-report
-          (see :mod:`repro.core.keyspace` on checked-key aliasing), so
-          a value above ``start_ts`` is a *suspicion*, not a verdict.
-        * **itemgetter chain** (at or above the threshold, when the int
-          lane cannot run: numpy absent, non-int keys, keys beyond the
-          int table): one C-level id gather + one C-level timestamp
-          gather + one ``max`` — no per-row bytecode, but still a dict
-          probe per row inside the C call.
+        * **lane** (numpy present, the lane live, every checked row
+          castable to an int below the lane's length): one ``fromiter``
+          and one ``lane[keys]`` gather — no per-row Python work.  A
+          checked key of another numeric type may cast onto some int
+          cell, but while the lane is live no such key is stored, so
+          the gather can only over-report.
+        * **itemgetter** (otherwise): ``max(itemgetter(*rows)(d))``, a
+          C-level dict probe per row; a never-written row raises
+          ``KeyError`` and the scan falls back to the probe.
 
-        A gather that finds a suspected conflict, or cannot run because
-        a row was never interned, falls through to the scalar probe —
+        A gather at or below ``start_ts`` clears the whole set; one
+        above it, or one that cannot run, falls through to the probe —
         so the reported conflict row and the examined count match the
-        dict backend's scan exactly in every case.
+        dict store's scan exactly in every case.
         """
-        interner = self._interner
-        ids_map = interner._ids
-        ts = self._ts
         n = len(rows)
-        if n >= NUMPY_MIN_ROWS:
-            peak = -1  # -1: no gather ran, probe row by row
+        if n < NUMPY_MIN_ROWS:
+            if self._isdisjoint(rows):
+                # No checked row was ever written: one C-speed sweep.
+                return None, n
+        else:
+            lane = self._lane
+            if lane is None:
+                lane = self._build_lane()
+            peak = -1  # -1: no verdict
             try:
-                if _np is not None and interner._int_lane:
+                if lane and _np is not None:
                     try:
                         keys_np = _np.fromiter(rows, _np.int64, n)
                     except (TypeError, ValueError, OverflowError):
                         keys_np = None
-                    if keys_np is not None:
-                        table = interner._int_table
-                        if len(table) and int(_np_max(keys_np)) < len(table):
-                            kids_np = _np.frombuffer(table, dtype=_np.int64)[
-                                keys_np
-                            ]
-                            peak = int(_np_max(
-                                _np.frombuffer(ts, dtype=_np.int64)[kids_np]
-                            ))
+                    if (keys_np is not None
+                            and int(_np_max(keys_np)) < len(lane)):
+                        peak = int(_np_max(
+                            _np.frombuffer(lane, dtype=_np.int64)[keys_np]
+                        ))
                 if peak < 0:
-                    kids = itemgetter(*rows)(ids_map)
-                    peak = max(itemgetter(*kids)(ts))
+                    peak = max(itemgetter(*rows)(self._d))
             except (KeyError, IndexError):
-                # Some row was never interned (or its slot predates the
-                # last grow): no gather possible.
+                # A never-written row (itemgetter), or a negative key
+                # beyond numpy's wrap-around (lane): no verdict.
                 peak = -1
             if 0 <= peak <= start_ts:
                 return None, n
-        ids_get = ids_map.get
+            if peak < 0 and self._isdisjoint(rows):
+                return None, n
+        get = self._get
         examined = 0
         for row in rows:
             examined += 1
-            kid = ids_get(row)
-            if kid is not None and kid < len(ts) and ts[kid] > start_ts:
+            last = get(row)
+            if last is not None and last > start_ts:
                 return row, examined
         return None, examined
-
-    def bulk_reset(self, watermark: Optional[int] = None) -> None:
-        """Epoch reset: drop all entries, or those at/below ``watermark``.
-
-        The interner (and therefore every id) survives — the point of
-        an epoch flip is to reuse the keyspace without re-interning.
-        """
-        ts = self._ts
-        if watermark is None:
-            self._ts = array("q", bytes(8 * len(ts)))
-            self._live = 0
-            self._order_clear()
-            return
-        live = self._live
-        for kid in range(len(ts)):
-            stamp = ts[kid]
-            if stamp and stamp <= watermark:
-                ts[kid] = 0
-                live -= 1
-                self._record_delete(kid)
-        self._live = live
-
-    def clear(self) -> None:
-        self.bulk_reset()
-
-    def _order_clear(self) -> None:
-        pass
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def interner(self) -> KeyInterner:
-        return self._interner
-
-    def slot_count(self) -> int:
-        """Allocated slots (interned keys), live or not."""
-        return len(self._ts)
-
-
-class BoundedArrayLastCommit(ArrayLastCommit):
-    """LRU-ordered array store under :class:`BoundedLastCommit`.
-
-    Adds the ``OrderedDict`` surface the bounded store uses —
-    insertion-ordered iteration, ``pop(row)``, ``popitem(last=False)``
-    — on top of the flat timestamp array.  Order lives in an
-    insertion-ordered ``dict`` of ids; evicted keys keep their interner
-    slot (the array never shrinks), so a bounded store's footprint is
-    bounded in *live entries* while the slot array tracks total keys
-    ever seen — the documented trade-off for id stability.
-    """
-
-    __slots__ = ("_order",)
-
-    def __init__(self, interner: Optional[KeyInterner] = None) -> None:
-        super().__init__(interner)
-        #: id -> None, in LRU order (dict preserves insertion order).
-        self._order: Dict[int, None] = {}
-
-    def _record_insert(self, kid: int) -> None:
-        self._order[kid] = None
-
-    def _record_delete(self, kid: int) -> None:
-        del self._order[kid]
-
-    def _order_clear(self) -> None:
-        self._order.clear()
-
-    def __iter__(self) -> Iterator[Hashable]:
-        keys = self._interner._keys
-        for kid in self._order:
-            yield keys[kid]
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def install(self, keys, commit_ts: int) -> None:
-        # Per key, so every fresh key is recorded in LRU order.
-        for key in keys:
-            self[key] = commit_ts
-
-    def popitem(self, last: bool = True) -> Tuple[Hashable, int]:
-        """(key, ts) from the LRU (``last=False``) or MRU end."""
-        order = self._order
-        if not order:
-            raise KeyError("popitem(): store is empty")
-        kid = next(reversed(order)) if last else next(iter(order))
-        key = self._interner._keys[kid]
-        ts = self._ts[kid]
-        del order[kid]
-        self._ts[kid] = 0
-        self._live -= 1
-        return key, ts
 
 
 class BoundedLastCommit(LastCommitStore):
     """Algorithm 3's ``lastCommit``: at most ``max_rows`` rows plus ``tmax``.
 
-    The one bounded implementation, over either backend's LRU-ordered
-    mapping (``OrderedDict`` or :class:`BoundedArrayLastCommit`), which
+    The one bounded implementation, over an LRU-ordered ``OrderedDict``
     it reaches only through the ``get`` / ``pop`` / ``popitem`` mapping
-    surface both share.  The mapping protocol is the LRU mapping's,
-    unchanged (iteration runs oldest first).
+    surface.  The mapping protocol is the LRU mapping's, unchanged
+    (iteration runs oldest first).
     """
 
     __slots__ = ("_lru", "max_rows", "tmax")
@@ -592,28 +477,26 @@ def make_lastcommit(
     kind: Union[str, MutableMapping, None] = None,
     *,
     bounded: bool = False,
-    interner: Optional[KeyInterner] = None,
 ):
     """Build a ``lastCommit`` store.
 
     ``kind`` is a backend name (``"dict"`` | ``"array"``), an existing
     store instance (returned as-is, for tests injecting a pre-seeded
     store), or ``None`` to resolve ``REPRO_LASTCOMMIT``.  ``bounded``
-    selects the LRU-ordered mapping each backend provides
-    (``OrderedDict`` / :class:`BoundedArrayLastCommit`) for
-    :class:`BoundedLastCommit` to wrap.
+    returns the ``OrderedDict`` LRU mapping :class:`BoundedLastCommit`
+    wraps, for either backend name: Algorithm 3's scan is scalar and
+    reads no lane.
     """
     if kind is None:
         kind = default_lastcommit_kind()
     if not isinstance(kind, str):
         return kind
     name = kind.strip().lower()
-    if name == "dict":
-        return OrderedDict() if bounded else {}
-    if name == "array":
-        cls = BoundedArrayLastCommit if bounded else ArrayLastCommit
-        return cls(interner)
-    raise ValueError(
-        f"unknown lastcommit backend {kind!r} (expected 'dict' or 'array'; "
-        f"set {LASTCOMMIT_ENV} or pass lastcommit= explicitly)"
-    )
+    if name not in ("dict", "array"):
+        raise ValueError(
+            f"unknown lastcommit backend {kind!r} (expected 'dict' or "
+            f"'array'; set {LASTCOMMIT_ENV} or pass lastcommit= explicitly)"
+        )
+    if bounded:
+        return OrderedDict()
+    return {} if name == "dict" else ArrayLastCommit()

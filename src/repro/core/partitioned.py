@@ -119,7 +119,7 @@ class PartitionedOracle(CommitEngine):
             )
         if lastcommit is not None and not isinstance(lastcommit, str):
             # A concrete store instance would be *shared* across shards,
-            # which breaks the per-shard interner premise — only a kind
+            # which breaks the shared-nothing premise — only a kind
             # string (resolved per shard) is meaningful here.
             raise ValueError(
                 "PartitionedOracle takes a lastcommit kind string "
@@ -135,11 +135,10 @@ class PartitionedOracle(CommitEngine):
         # Every partition shares the TSO (one global commit order) and
         # gets its own lastCommit + stats; their private commit tables
         # are unused — the partitioned deployment keeps one authoritative
-        # commit table, like the monolithic oracle.  Under the array
-        # backend each shard gets its *own* interner (ids are per-shard
-        # dense, never shared — the shared-nothing premise of the
-        # partition-server design), built fresh per shard by
-        # make_lastcommit inside make_oracle.
+        # commit table, like the monolithic oracle.  Each shard's store
+        # is its own (the shared-nothing premise of the partition-server
+        # design), built fresh per shard by make_lastcommit inside
+        # make_oracle.
         self.partitions: List[StatusOracle] = [
             make_oracle(level, timestamp_oracle=self._tso,
                         lastcommit=lastcommit)

@@ -49,11 +49,11 @@ how those hooks run:
   installs are one ``dict.update(dict.fromkeys(ws, Tc))``.  The store
   stays an exact, untracked ``dict``: the cyclic collector never walks
   its entries.
-* ``array`` — row keys are interned to dense ids
-  (:class:`~repro.core.keyspace.KeyInterner`) and timestamps live in a
-  flat ``array('q')``; a scan is one bulk id gather + timestamp gather
-  + ``max(...) > Ts`` compare (numpy-vectorised for int keys), with a
-  scalar rescan only on a *suspected* conflict, so the reported
+* ``array`` — the same exact ``dict`` and, below 32 rows, the same
+  scan and install; from 32 rows up a scan is one gather + ``max(...)
+  > Ts`` compare (numpy over a direct-addressed timestamp lane for int
+  keys, built the first time the store meets a row set that wide),
+  with a scalar rescan only on a *suspected* conflict, so the reported
   conflict row and ``rows_checked`` match the dict store bit-for-bit.
 * bounded (Algorithm 3) — the scan adds the pessimistic ``tmax``
   abort; the install reinserts in LRU order and evicts.  The loop

@@ -5,8 +5,8 @@
 calls the store's two hooks, ``scan`` and ``install``.  So a decision
 enters at most those two Python frames, on the default ``dict`` store
 and on the array store alike, however many rows its footprint has — a
-per-row frame (a mapping ``get`` / ``__setitem__`` on the array store,
-an intern call for rows already interned) would multiply the count.
+per-row frame (a mapping ``get`` / ``__setitem__`` on the array store)
+would multiply the count, on warmed rows and never-written ones alike.
 
 The default store stays an exact ``dict`` of int timestamps, which the
 cyclic collector does not track; a tracked store is walked entry by
@@ -56,8 +56,8 @@ def frames_entered(fn, *args):
 
 
 def warmed_oracle(lastcommit, rows):
-    """A WSI oracle whose store already holds every row (array rows are
-    interned), all written at a timestamp below the batch's starts."""
+    """A WSI oracle whose store already holds every row, all written at
+    a timestamp below the batch's starts."""
     oracle = make_oracle("wsi", lastcommit=lastcommit)
     oracle.commit(CommitRequest(oracle.begin(), write_set=frozenset(rows)))
     return oracle
@@ -85,6 +85,32 @@ def test_decision_enters_at_most_scan_and_install(lastcommit, footprint):
     own = [c for c in entered if c.co_name != "_decide_batch"]
     names = sorted({c.co_qualname for c in own})
     assert len(own) <= FRAMES_PER_DECISION * DECISIONS + FRAMES_PER_BATCH, names
+
+
+@pytest.mark.parametrize("footprint", [1, 8, 64])
+def test_never_written_rows_on_the_array_store(footprint):
+    # Every row the batch reads or writes is new to the store.  One
+    # earlier commit on another row resolves the store's hooks; the
+    # first wide row set builds the array store's lane once.
+    oracle = make_oracle("wsi", lastcommit="array")
+    fresh = footprint * DECISIONS
+    oracle.commit(CommitRequest(oracle.begin(), write_set=frozenset({fresh})))
+    batch = []
+    for i in range(DECISIONS):
+        own = frozenset(range(i * footprint, (i + 1) * footprint))
+        batch.append(
+            CommitRequest(oracle.begin(), write_set=own, read_set=own)
+        )
+    commits, aborts, errors = [], [], []
+    entered = frames_entered(oracle._decide_batch, batch, commits, aborts, errors)
+    assert not errors
+    assert len(commits) == DECISIONS and not aborts
+    own = [c for c in entered if c.co_name != "_decide_batch"]
+    names = sorted({c.co_qualname for c in own})
+    assert len(own) <= FRAMES_PER_DECISION * DECISIONS + FRAMES_PER_BATCH, names
+    store = oracle._last_commit
+    assert len(store) == fresh + 1
+    assert store._d.__class__ is dict and not gc.is_tracked(store._d)
 
 
 def test_default_store_stays_untracked_after_a_batch():

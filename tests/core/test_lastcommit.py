@@ -1,5 +1,6 @@
-"""The lastCommit stores: mapping parity, scans, resets, the factory,
-and every store's rules against test-local references.
+"""The lastCommit stores: mapping parity, scans, the array store's
+timestamp lane, the factory, and every store's rules against test-local
+references.
 
 The array backend's whole claim is *representation change, zero
 semantics change*: every test here drives the store and a plain dict
@@ -15,14 +16,15 @@ hooks, so comparing them cannot catch a wrong rule in a store.
 """
 
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.keyspace import KeyInterner
+from repro.core import lastcommit
 from repro.core.lastcommit import (
+    INT_LANE_BOUND,
     ArrayLastCommit,
-    BoundedArrayLastCommit,
     BoundedLastCommit,
     LASTCOMMIT_ENV,
     NUMPY_MIN_ROWS,
@@ -31,6 +33,7 @@ from repro.core.lastcommit import (
     newer_rows,
     store_hooks,
 )
+from repro.core.status_oracle import CommitRequest, make_oracle
 
 
 def dict_scan(mapping, rows, start_ts):
@@ -95,12 +98,13 @@ class TestMappingParity:
         store = ArrayLastCommit()
         store.update({1: 10, 2: 20})
         assert dict(store) == {1: 10, 2: 20}
+        store.install(range(NUMPY_MIN_ROWS), 5)  # wide: builds the lane
+        assert store._lane
         store.clear()
         assert dict(store) == {} and len(store) == 0
-        # Slots survive a clear: re-install reuses the same ids.
-        kid = store.interner.id_of(1)
+        assert store._lane is None  # a clear drops the lane with the rows
         store[1] = 30
-        assert store.interner.id_of(1) == kid
+        assert dict(store) == {1: 30}
 
     def test_zero_and_negative_timestamps_rejected(self):
         store = ArrayLastCommit()
@@ -109,13 +113,18 @@ class TestMappingParity:
         with pytest.raises(ValueError):
             store.install(["row"], -1)
 
-    def test_deleted_key_keeps_its_slot(self):
-        store = ArrayLastCommit()
-        store["x"] = 3
-        kid = store.interner.id_of("x")
-        del store["x"]
-        store["x"] = 8
-        assert store.interner.id_of("x") == kid
+    def test_deleted_row_reads_absent_in_a_wide_scan(self):
+        # The deleted row keeps its lane cell (an over-report); the
+        # rescan must still report what the dict store reports.
+        store, mirror = ArrayLastCommit(), {}
+        rows = tuple(range(NUMPY_MIN_ROWS))
+        store.install(rows, 5)
+        mirror.update(dict.fromkeys(rows, 5))
+        store[7] = 50
+        del store[7]
+        del mirror[7]
+        assert store.scan_conflict(rows, 10) == dict_scan(mirror, rows, 10)
+        assert store.scan_conflict(rows, 10) == (None, len(rows))
 
 
 class TestInstallAndScan:
@@ -156,21 +165,21 @@ class TestInstallAndScan:
 
     def test_vectorised_scan_matches_scalar_on_int_keys(self):
         # Above NUMPY_MIN_ROWS with a pure-int keyspace the scan takes
-        # the int lane (when numpy is present); the verdict and count
+        # the timestamp lane (when numpy is present); the verdict and count
         # must match the scalar reference bit-for-bit either way.
         store, mirror = ArrayLastCommit(), {}
         for key in range(0, 4 * NUMPY_MIN_ROWS, 2):
             store[key] = 50 + key
             mirror[key] = 50 + key
-        assert store.interner.int_lane_ok
         for start in (40, 60, 100, 10_000):
             rows = tuple(range(3 * NUMPY_MIN_ROWS))
             assert store.scan_conflict(rows, start) == dict_scan(
                 mirror, rows, start
             )
+        assert store._lane  # the first wide scan built it, and it lives
 
     def test_vectorised_scan_with_mixed_checked_keys(self):
-        # Interned keys are all int (lane on) but the *checked* set
+        # Stored keys are all int (lane on) but the *checked* set
         # contains keys numpy cannot cast -- the scan must fall back and
         # still agree with the scalar reference.
         store, mirror = ArrayLastCommit(), {}
@@ -190,62 +199,128 @@ class TestInstallAndScan:
         for key in range(NUMPY_MIN_ROWS * 2):
             store[key] = 10
             mirror[key] = 10
-        store[2.5] = 1000  # non-int intern: kills the lane
+        store.install(range(NUMPY_MIN_ROWS), 10)  # builds the lane
+        store[2.5] = 1000  # a non-int key ends the lane
         mirror[2.5] = 1000
-        assert not store.interner.int_lane_ok
+        assert store._lane is False
         rows = tuple(range(NUMPY_MIN_ROWS)) + (2.5,)
         assert store.scan_conflict(rows, 500) == dict_scan(mirror, rows, 500)
 
 
-class TestBulkReset:
-    def test_full_reset(self):
+class TestLane:
+    """The timestamp lane's rules: built lazily from the dict, written
+    with every install, ended by a key it cannot hold, capped at
+    ``INT_LANE_BOUND``."""
+
+    WIDE = tuple(range(NUMPY_MIN_ROWS))
+
+    def test_narrow_row_sets_build_no_lane(self):
         store = ArrayLastCommit()
-        store.install(range(10), 5)
-        store.bulk_reset()
-        assert dict(store) == {} and len(store) == 0
-        assert len(store.interner) == 10  # interner survives
+        store.install(range(NUMPY_MIN_ROWS - 1), 4)
+        store.scan_conflict(tuple(range(NUMPY_MIN_ROWS - 1)), 1)
+        store[900] = 5
+        assert store._lane is None
 
-    def test_watermark_reset(self):
+    @pytest.mark.parametrize("via", ["scan", "install"])
+    def test_first_wide_row_set_builds_the_lane_from_the_dict(self, via):
+        store = ArrayLastCommit()
+        store.install([3, 40], 7)
+        if via == "scan":
+            store.scan_conflict(self.WIDE, 1)
+        else:
+            store.install(self.WIDE[5:] + (50, 51, 52, 53, 54), 8)
+        lane = store._lane
+        assert len(lane) > max(store)
+        assert all(lane[key] == ts for key, ts in store.items())
+
+    @pytest.mark.parametrize("key", ["row", True, 2.5, (1, 2)])
+    def test_non_int_key_ends_the_lane_for_good(self, key):
+        # bool would cast to 0/1 and alias real int keys; any other
+        # type could cast onto some int cell.
+        store = ArrayLastCommit()
+        store.install(self.WIDE, 1)
+        assert store._lane
+        store[key] = 2
+        assert store._lane is False
+        store.install(self.WIDE, 3)  # later ints don't resurrect it
+        assert store._lane is False
+
+    def test_non_int_key_present_at_build_ends_the_lane(self):
+        store = ArrayLastCommit()
+        store["row"] = 1
+        store.install(self.WIDE, 2)
+        assert store._lane is False
+
+    def test_negative_key_ends_the_lane(self):
+        # numpy fancy indexing wraps negatives past the bounds guard, so
+        # a stored negative key could be missed by the gather.
+        store = ArrayLastCommit()
+        store.install(self.WIDE, 1)
+        store[-3] = 2
+        assert store._lane is False
+        fresh = ArrayLastCommit()
+        fresh[-3] = 2
+        fresh.install(self.WIDE, 3)
+        assert fresh._lane is False
+
+    def test_key_at_or_above_the_bound_is_unrecorded_and_lane_survives(self):
+        store = ArrayLastCommit()
+        store.install(self.WIDE, 1)
+        store[INT_LANE_BOUND + 10] = 2
+        store[INT_LANE_BOUND - 1] = 3
+        lane = store._lane
+        assert lane and len(lane) == INT_LANE_BOUND
+        assert lane[INT_LANE_BOUND - 1] == 3
+        assert store[INT_LANE_BOUND + 10] == 2
+
+    def test_lane_growth_is_zero_filled(self):
+        store = ArrayLastCommit()
+        store.install(self.WIDE, 1)
+        store[100] = 9
+        lane = store._lane
+        assert lane[100] == 9
+        assert all(lane[i] == 0 for i in range(NUMPY_MIN_ROWS, 100))
+
+    def test_row_above_the_bound_is_not_missed(self):
+        # The lane must never cover a cell it does not record: a row in
+        # [INT_LANE_BOUND, len(lane)) would gather as never written.
         store, mirror = ArrayLastCommit(), {}
-        for key, ts in [("a", 3), ("b", 7), ("c", 5), ("d", 9)]:
-            store[key] = ts
-            mirror[key] = ts
-        store.bulk_reset(watermark=5)
-        survivors = {k: v for k, v in mirror.items() if v > 5}
-        assert dict(store) == survivors and len(store) == len(survivors)
+        for ts, row in enumerate(
+            (1_500_000, 1_600_000, INT_LANE_BOUND + 1000), start=1
+        ):
+            store[row] = 8 * ts
+            mirror[row] = 8 * ts
+        rows = (INT_LANE_BOUND + 1000,) + tuple(range(40))
+        assert store.scan_conflict(rows, 5) == dict_scan(mirror, rows, 5)
+        assert store.scan_conflict(rows, 5) == (INT_LANE_BOUND + 1000, 1)
 
-
-class TestBoundedArray:
-    def test_lru_order_matches_ordereddict(self):
-        store, mirror = BoundedArrayLastCommit(), OrderedDict()
-        ops = [("a", 1), ("b", 2), ("c", 3), ("a", 4), ("d", 5)]
-        for key, ts in ops:
-            # The bounded oracle's rewrite idiom: pop-then-reinsert.
-            if key in store:
-                store.pop(key)
-            if key in mirror:
-                mirror.pop(key)
-            store[key] = ts
-            mirror[key] = ts
-        assert list(store) == list(mirror)
-        assert store.popitem(last=False) == mirror.popitem(last=False)
-        assert store.popitem(last=True) == mirror.popitem(last=True)
-        assert list(store) == list(mirror)
-        assert dict(store) == dict(mirror)
-
-    def test_popitem_empty(self):
-        with pytest.raises(KeyError):
-            BoundedArrayLastCommit().popitem()
-
-    def test_eviction_keeps_slot_array(self):
-        store = BoundedArrayLastCommit()
-        for key in range(8):
-            store[key] = key + 1
-        while len(store) > 3:
-            store.popitem(last=False)
-        assert len(store) == 3
-        assert store.slot_count() >= 8  # slots are never reclaimed
-        assert dict(store) == {5: 6, 6: 7, 7: 8}
+    def test_oracle_aborts_on_a_row_above_the_bound(self):
+        # WSI: the reader read a row written after its snapshot.
+        hot = INT_LANE_BOUND + 1000
+        outcomes = {}
+        for kind in ("dict", "array"):
+            oracle = make_oracle("wsi", lastcommit=kind)
+            for row in (1_500_000, 1_600_000):
+                oracle.commit(
+                    CommitRequest(oracle.begin(), write_set=frozenset({row}))
+                )
+            reader = oracle.begin()
+            oracle.commit(
+                CommitRequest(oracle.begin(), write_set=frozenset({hot}))
+            )
+            result = oracle.commit(
+                CommitRequest(
+                    reader,
+                    write_set=frozenset({7}),
+                    read_set=frozenset({hot, *range(40)}),
+                )
+            )
+            outcomes[kind] = (
+                result.committed, result.reason, result.conflict_row
+            )
+        assert outcomes["array"] == outcomes["dict"] == (
+            False, "rw-conflict", hot
+        )
 
 
 class TestFactory:
@@ -258,19 +333,18 @@ class TestFactory:
     def test_make_lastcommit_kinds(self, monkeypatch):
         monkeypatch.delenv(LASTCOMMIT_ENV, raising=False)
         assert isinstance(make_lastcommit(), dict)
-        assert isinstance(make_lastcommit("dict", bounded=True), OrderedDict)
+        assert type(make_lastcommit("dict", bounded=True)) is OrderedDict
         assert type(make_lastcommit("array")) is ArrayLastCommit
-        assert type(make_lastcommit("array", bounded=True)) is (
-            BoundedArrayLastCommit
-        )
+        # Algorithm 3's scan reads no lane: both kinds bound one LRU.
+        assert type(make_lastcommit("array", bounded=True)) is OrderedDict
         with pytest.raises(ValueError):
             make_lastcommit("mmap")
+        with pytest.raises(ValueError):
+            make_lastcommit("mmap", bounded=True)
 
-    def test_instance_passthrough_and_shared_interner(self):
-        interner = KeyInterner()
-        store = ArrayLastCommit(interner)
+    def test_instance_passthrough(self):
+        store = ArrayLastCommit()
         assert make_lastcommit(store) is store
-        assert store.interner is interner
 
 
 MAX_ROWS = 4
@@ -281,10 +355,6 @@ STORES = {
     "array": (ArrayLastCommit, None),
     "bounded-dict": (
         lambda: BoundedLastCommit(OrderedDict(), MAX_ROWS), MAX_ROWS
-    ),
-    "bounded-array": (
-        lambda: BoundedLastCommit(BoundedArrayLastCommit(), MAX_ROWS),
-        MAX_ROWS,
     ),
 }
 
@@ -365,7 +435,7 @@ class TestStoreRules:
 
     SHORT = NUMPY_MIN_ROWS - 1
 
-    def test_short_scan_over_never_interned_rows(self):
+    def test_short_scan_over_never_written_rows(self):
         store, ref = ArrayLastCommit(), {}
         for key in range(0, 8, 2):
             store[key] = 20
@@ -396,19 +466,101 @@ class TestStoreRules:
             rows[hot[where]], hot[where] + 1
         )
 
-    def test_short_scan_slot_beyond_the_timestamp_array(self):
-        # Two stores over one interner: rows interned through the other
-        # store get slot ids past this store's (never grown) array, and
-        # must read as absent.
-        interner = KeyInterner()
-        store, ref = ArrayLastCommit(interner), {}
-        store.install(["a", "b"], 7)
-        ref.update(dict.fromkeys(["a", "b"], 7))
-        ArrayLastCommit(interner).install(["c", "d", "e"], 99)
-        assert interner.id_of("e") >= store.slot_count()
-        rows = ("c", "a", "e", "b", "d")
-        for start in (3, 7, 100):
+    def test_short_scan_never_builds_a_lane(self):
+        store, ref = ArrayLastCommit(), {}
+        store.install(range(self.SHORT), 5)
+        ref.update(dict.fromkeys(range(self.SHORT), 5))
+        rows = ("c", 3, "e", 700)
+        for start in (3, 7):
             assert store.scan_conflict(rows, start) == dict_scan(
                 ref, rows, start
             )
+        assert store._lane is None
 
+
+#: Keys per pool of the differential below: plain ints keep the lane
+#: live; "bound" adds ints around ``INT_LANE_BOUND`` (the lane survives,
+#: capped); "mixed" adds keys that end it or cast onto int cells.
+LOW_INTS = st.integers(0, 47)
+KEY_POOLS = {
+    "int": LOW_INTS,
+    "bound": st.one_of(
+        LOW_INTS,
+        st.sampled_from([
+            INT_LANE_BOUND - 1, INT_LANE_BOUND, INT_LANE_BOUND + 1,
+            1_500_000,
+        ]),
+    ),
+    "mixed": st.one_of(
+        LOW_INTS, st.sampled_from([-1, 2.5, 2.0, True, "a", (1, 2)])
+    ),
+}
+
+
+@st.composite
+def lane_ops(draw, pool):
+    """Install / set / delete / clear / scan over one key pool; row
+    sets run from empty to well past ``NUMPY_MIN_ROWS``, so the first
+    wide row set often meets an already populated store."""
+    keys = KEY_POOLS[pool]
+    row_set = st.tuples(
+        st.one_of(
+            st.lists(keys, max_size=6, unique=True),
+            st.lists(keys, min_size=NUMPY_MIN_ROWS, max_size=44, unique=True),
+        ),
+        st.sampled_from([tuple, list, frozenset]),
+    ).map(lambda drawn: drawn[1](drawn[0]))
+    op = st.one_of(
+        st.tuples(st.just("install"), row_set, st.integers(1, 40)),
+        st.tuples(st.just("scan"), row_set, st.integers(0, 40)),
+        st.tuples(st.just("set"), keys, st.integers(1, 40)),
+        st.tuples(st.just("delete"), keys, st.just(0)),
+        st.tuples(st.just("clear"), st.just(()), st.just(0)),
+    )
+    return draw(st.lists(op, max_size=20))
+
+
+class TestArrayStoreDifferential:
+    """ArrayLastCommit against a plain dict, in both gather regimes."""
+
+    @pytest.mark.parametrize("gather", ["numpy", "itemgetter"])
+    @pytest.mark.parametrize("pool", sorted(KEY_POOLS))
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_array_store_equals_a_dict(self, gather, pool, data):
+        if gather == "numpy":
+            pytest.importorskip("numpy")
+        ops = data.draw(lane_ops(pool))
+        np_module = lastcommit._np if gather == "numpy" else None
+        with mock.patch.object(lastcommit, "_np", np_module):
+            store, ref = ArrayLastCommit(), {}
+            for op, arg, ts in ops:
+                if op == "install":
+                    store.install(arg, ts)
+                    ref.update(dict.fromkeys(arg, ts))
+                elif op == "scan":
+                    assert store.scan_conflict(arg, ts) == dict_scan(
+                        ref, arg, ts
+                    )
+                elif op == "set":
+                    store[arg] = ts
+                    ref[arg] = ts
+                elif op == "delete":
+                    if arg in ref:
+                        del store[arg]
+                        del ref[arg]
+                    else:
+                        with pytest.raises(KeyError):
+                            del store[arg]
+                else:
+                    store.clear()
+                    ref.clear()
+                assert dict(store) == ref and len(store) == len(ref)
+                lane = store._lane
+                if lane:
+                    # Covers every recordable stored row, never below it.
+                    assert len(lane) <= INT_LANE_BOUND
+                    for row, last in ref.items():
+                        assert row.__class__ is int and row >= 0
+                        if row < INT_LANE_BOUND:
+                            assert lane[row] >= last
